@@ -31,7 +31,7 @@ def make_problem(code, blocks, rng):
     xc = np.ascontiguousarray(enumerate_candidates(c, n) / np.sqrt(n))
     u = rng.normal(size=(blocks, n, k)) + 1j * rng.normal(size=(blocks, n, k))
     h = rng.normal(size=(blocks, n)) + 1j * rng.normal(size=(blocks, n))
-    gram = np.repeat(np.einsum("bs,bp->bsp", h, h.conj())[:, None], k, axis=1)
+    gram = np.einsum("bs,bp->bsp", h, h.conj())[:, None]          # one Gram per block
     y = rng.normal(size=(blocks, m, k)) + 1j * rng.normal(size=(blocks, m, k))
     F = rng.normal(size=(blocks, m, n)) + 1j * rng.normal(size=(blocks, m, n))
     return (

@@ -7,6 +7,12 @@ delegated to the kernels in stssc._kernels.  The per-block reference
 pipelines in stssc.schemes / stssc.decoder implement the same math and
 are used to cross-check this path in the test suite.
 
+Every design is a signed permutation (see stssc.designs), so relay
+encoding and the matched filter are index scatters and gathers with sign
+flips instead of products with the dispersion matrices; they add exact
+zeros and multiply by +-1, so the values are those of the dense products.
+Every column weight is 1, so all K slots share one Gram matrix per block.
+
 Bit and packet error counts are reported for the designated destination
 (source index 0); padding bits are excluded.
 """
@@ -49,17 +55,36 @@ def _nearest(points: np.ndarray, est: np.ndarray) -> np.ndarray:
     return points[idx]
 
 
+def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
+    """Relay codeword columns sum_t (A[t,:,r] q[..., r, t] + B[t,:,r] q[..., r, t]*).
+
+    q: (..., M, K) per-relay symbols -> (..., M, T); slots a relay leaves empty are 0.
+    """
+    z = np.zeros(q.shape[:-1] + (design.T,), dtype=complex)
+    relays = np.arange(design.M)[:, None]
+    z[..., relays, design.slot] = design.sign * np.where(design.conjugated, q.conj(), q)
+    return z
+
+
+def relay_matched_filter(design: OrthogonalDesign, y):
+    """P = sum_tau A*[t,tau,r] y[..., r, tau] and Q = sum_tau B[t,tau,r] y*[..., r, tau].
+
+    y: (B, M, T), or (B, 1, T) for one stream carrying every relay -> P, Q (B, M, K).
+    """
+    picked = design.sign * np.take_along_axis(y, design.slot[None], axis=-1)
+    P = np.where(design.conjugated, 0, picked)
+    Q = np.where(design.conjugated, picked.conj(), 0)
+    return P, Q
+
+
 def stssc_decode_batch(y, hSR, hRD, g, design, candidates_scaled, rho):
     """Decode batched observations y (B,M,T); returns candidate indices (B,K)."""
-    A, Bm = design.A, design.B
-    P = np.einsum("ktr,brt->brk", A.conj(), y)
-    Q = np.einsum("ktr,brt->brk", Bm, y.conj())
+    P, Q = relay_matched_filter(design, y)
     inner = hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q
     u = np.einsum("br,bsr,brk->bsk", g, hSR.conj(), inner)
     w = g**2 * np.abs(hRD) ** 2
-    c = design.column_weights()
-    gram = np.einsum("br,tr,bsr,bpr->btsp", w, c, hSR, hSR.conj())
-    return _kernels.joint_argmin(u, gram, candidates_scaled, sqrt(rho))
+    gram = (hSR * w[:, None, :]) @ hSR.conj().transpose(0, 2, 1)   # (B, N, N)
+    return _kernels.joint_argmin(u, gram[:, None], candidates_scaled, sqrt(rho))
 
 
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
@@ -93,10 +118,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         cand = enumerate_candidates(constellation, N)
         xc = kappa * cand
         if scheme == "stssc":
-            z = g[:, :, None] * (
-                np.einsum("ktr,brk->brt", design.A, q)
-                + np.einsum("ktr,brk->brt", design.B, q.conj())
-            )
+            z = g[:, :, None] * relay_encode(design, q)
             y = hRD[:, :, None] * z + _batch_awgn((B, M, T), sigma2, rng)
             idx = stssc_decode_batch(y, hSR, hRD, g, design, xc, rho)
         else:
@@ -113,15 +135,11 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         x0 = X[:, 0, :]                                              # (B, K)
         q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + _batch_awgn((B, M, K), sigma2, rng)
         rd = _nearest(constellation.points, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
-        cols = (
-            np.einsum("ktr,brk->brt", design.A, rd)
-            + np.einsum("ktr,brk->brt", design.B, rd.conj())
-        )
+        cols = relay_encode(design, rd)
         scale = sqrt(rho / M) * kappa
         y = scale * np.einsum("br,brt->bt", hRD, cols) + _batch_awgn((B, T), sigma2, rng)
         heff = scale * hRD                                           # (B, M)
-        P = np.einsum("ktr,bt->brk", design.A.conj(), y)
-        Q = np.einsum("ktr,bt->brk", design.B, y.conj())
+        P, Q = relay_matched_filter(design, y[:, None, :])
         z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)   # (B, K)
         heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
         decided0 = _nearest(constellation.points, z / heq)

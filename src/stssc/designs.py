@@ -9,6 +9,13 @@ with fixed T x M dispersion matrices A_t, B_t (one column per relay).
 Every shipped design satisfies G(x)^H G(x) = ||x||^2 I_M, which is what
 makes the closed-form symbol-decoupled decoding work.
 
+Every design is also a signed permutation: each relay's column carries
+each symbol exactly once, as +-x[t] or +-x[t]*, in its own slot (Alamouti,
+IEEE JSAC 1998; Tarokh, Jafarkhani & Calderbank, IEEE Trans. IT 1999).
+The per-(relay, symbol) tables slot, sign and conjugated record that
+placement, so the batched chain can encode and matched-filter with index
+gathers instead of dispersion products.
+
 Catalog:
   alamouti  T=2 M=2 K=2   complex symbols
   c34       T=4 M=3 K=3   rate-3/4 complex design for three relays
@@ -45,6 +52,8 @@ class OrthogonalDesign:
 
     A and B are stored as (K, T, M) arrays; A[t] disperses symbol t and
     B[t] disperses its conjugate.  d[t] = trace(A_t^H A_t + B_t^H B_t).
+    slot, sign and conjugated are (M, K) tables: relay r sends symbol t in
+    slot[r, t] as sign[r, t] * x[t], conjugated where conjugated[r, t].
     Instances are immutable and safe to share across workers.
     """
 
@@ -56,15 +65,17 @@ class OrthogonalDesign:
     B: np.ndarray
     d: np.ndarray
     real_only: bool
+    slot: np.ndarray
+    sign: np.ndarray
+    conjugated: np.ndarray
 
     @property
     def rate(self) -> float:
         return self.K / self.T
 
     def __post_init__(self):
-        self.A.setflags(write=False)
-        self.B.setflags(write=False)
-        self.d.setflags(write=False)
+        for table in (self.A, self.B, self.d, self.slot, self.sign, self.conjugated):
+            table.setflags(write=False)
 
     def column_weights(self) -> np.ndarray:
         """Per-(symbol, relay) dispersion energy ||a_{t,r}||^2 + ||b_{t,r}||^2, shape (K, M)."""
@@ -125,7 +136,36 @@ def _c44() -> OrthogonalDesign:
 
 def _finish(name, T, M, K, A, B, real_only) -> OrthogonalDesign:
     d = (np.einsum("tij,tij->t", A.conj(), A) + np.einsum("tij,tij->t", B.conj(), B)).real
-    return OrthogonalDesign(name=name, T=T, M=M, K=K, A=A, B=B, d=d, real_only=real_only)
+    slot, sign, conjugated = _signed_permutation(name, A, B)
+    return OrthogonalDesign(name=name, T=T, M=M, K=K, A=A, B=B, d=d, real_only=real_only,
+                            slot=slot, sign=sign, conjugated=conjugated)
+
+
+def _signed_permutation(name, A, B):
+    """(M, K) slot, sign and conjugated tables of a signed-permutation design.
+
+    Raises ConfigurationError unless every (symbol, relay) pair has exactly
+    one nonzero entry over A and B, that entry is +-1, and no two symbols
+    share a slot of one relay.
+    """
+    K, _, M = A.shape
+    AB = np.stack([A, B])                                           # (2, K, T, M)
+    nonzero = AB != 0
+    if not (np.all(nonzero.sum(axis=(0, 2)) == 1) and np.all(np.isin(AB[nonzero], (1, -1)))):
+        raise ConfigurationError(
+            f"design {name!r} is not a signed permutation: each (symbol, relay) "
+            "needs exactly one +-1 entry in A or B"
+        )
+    part, t, tau, r = np.nonzero(nonzero)
+    slot = np.empty((M, K), dtype=np.int64)
+    sign = np.empty((M, K))
+    conjugated = np.empty((M, K), dtype=bool)
+    slot[r, t] = tau
+    sign[r, t] = AB[part, t, tau, r].real
+    conjugated[r, t] = part == 1
+    if any(len(set(row)) < K for row in slot):
+        raise ConfigurationError(f"design {name!r} places two symbols in one slot of a relay")
+    return slot, sign, conjugated
 
 
 _BUILDERS = {"alamouti": _alamouti, "c34": _c34, "c44": _c44}

@@ -10,6 +10,7 @@ import numpy as np
 
 from .batch import simulate_packet_set
 from .channel import FADING_MODELS
+from .decoder import MAX_CANDIDATES
 from .designs import build_design
 from .errors import ConfigurationError
 from .modem import KAPPA_MODES, check_compatible, get_constellation
@@ -92,7 +93,7 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError(f"unknown normalization {cfg.normalization!r}")
     if cfg.phases_override is not None and cfg.phases_override < 1:
         raise ConfigurationError("phases override must be a positive slot count")
-    if constellation.size**cfg.sources > 10**6:
+    if constellation.size**cfg.sources > MAX_CANDIDATES:
         raise ConfigurationError(
             f"candidate space {constellation.size}^{cfg.sources} too large; "
             "reduce sources or constellation order"

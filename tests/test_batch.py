@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from stssc import _kernels
-from stssc.batch import SLOT_RULES, simulate_packet_set, stssc_decode_batch
+from stssc.batch import (
+    SLOT_RULES, relay_matched_filter, simulate_packet_set, stssc_decode_batch,
+)
 from stssc.channel import draw_channel
 from stssc.decoder import afost_ml_decode, enumerate_candidates, joint_ml_decode, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
@@ -37,6 +39,22 @@ def test_batch_stssc_decisions_match_reference(name):
         idx = stssc_decode_batch(tr.yRD[None], ch.hSR[None], ch.hRD[None], g[None],
                                  d, kappa * cand, ch.rho)
         np.testing.assert_array_equal(cand[idx[0]].T, ref)
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_relay_matched_filter_equals_dispersion_products(name):
+    # gathers with sign flips give the dense dispersion products bit for bit,
+    # per relay stream (stssc) and for one stream heard from every relay (dstc)
+    d = build_design(name)
+    rng = np.random.default_rng(23)
+    y = rng.normal(size=(40, d.M, d.T)) + 1j * rng.normal(size=(40, d.M, d.T))
+    P, Q = relay_matched_filter(d, y)
+    np.testing.assert_array_equal(P, np.einsum("ktr,brt->brk", d.A.conj(), y))
+    np.testing.assert_array_equal(Q, np.einsum("ktr,brt->brk", d.B, y.conj()))
+    y1 = y[:, 0, :]
+    P, Q = relay_matched_filter(d, y1[:, None, :])
+    np.testing.assert_array_equal(P, np.einsum("ktr,bt->brk", d.A.conj(), y1))
+    np.testing.assert_array_equal(Q, np.einsum("ktr,bt->brk", d.B, y1.conj()))
 
 
 def test_batch_afost_decisions_match_reference():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from stssc.batch import relay_encode
 from stssc.designs import (
     DESIGN_NAMES,
+    _finish,
     build_design,
     codeword,
     format_design,
@@ -138,3 +140,49 @@ def test_format_design_is_exact_text():
     assert "d = [2, 2]" in text
     assert "B_2 =" in text
     assert "[-1  0]" in text
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_signed_permutation_tables_rebuild_dispersion(name):
+    # one +-1 entry per (symbol, relay): the tables alone rebuild A and B
+    d = build_design(name)
+    assert d.slot.shape == d.sign.shape == d.conjugated.shape == (d.M, d.K)
+    assert set(np.unique(d.sign)) <= {-1.0, 1.0}
+    A = np.zeros_like(d.A)
+    B = np.zeros_like(d.B)
+    for r in range(d.M):
+        for t in range(d.K):
+            target = B if d.conjugated[r, t] else A
+            target[t, d.slot[r, t], r] = d.sign[r, t]
+    np.testing.assert_array_equal(A, d.A)
+    np.testing.assert_array_equal(B, d.B)
+    for r in range(d.M):
+        assert len(set(d.slot[r])) == d.K
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_relay_encode_equals_codeword_bit_for_bit(name):
+    d = build_design(name)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(50, d.K))
+    if not d.real_only:
+        x = x + 1j * rng.normal(size=(50, d.K))
+    q = np.repeat(x[:, None, :], d.M, axis=1)                      # every relay holds x
+    z = relay_encode(d, q)                                          # (B, M, T)
+    expected = np.stack([codeword(d, row).T for row in x])
+    np.testing.assert_array_equal(z, expected)
+
+
+def test_non_signed_permutation_rejected():
+    base = build_design("alamouti")
+    scaled = base.A.copy()
+    scaled[0, 0, 0] = 2                                             # entry not +-1
+    doubled = base.A.copy()
+    doubled[0, 1, 0] = 1                                            # x1 twice on relay 1
+    missing = base.A.copy()
+    missing[0, 0, 0] = 0                                            # x1 never on relay 1
+    shared = base.A.copy()
+    shared[0, 0, 0], shared[0, 1, 0] = 0, 1                         # x1 in x2*'s slot
+    for A in (scaled, doubled, missing, shared):
+        with pytest.raises(ConfigurationError):
+            _finish("bad", base.T, base.M, base.K, A, base.B.copy(), real_only=False)

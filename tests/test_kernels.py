@@ -69,6 +69,36 @@ def test_afost_argmin_paths_identical():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("shared_gram", [False, True])
+def test_loops_match_numpy_kernels(shared_gram):
+    # the loops numba compiles, run as plain Python on every machine
+    rng = np.random.default_rng(3)
+    for N, K in ((2, 2), (3, 3)):
+        u, gram, y, F, xc = random_problem(rng, B=6, N=N, K=K)
+        if shared_gram:
+            gram = gram[:, :1]
+        else:                                   # a different Gram per slot
+            gram = gram * rng.uniform(0.2, 5.0, size=(6, K, 1, 1))
+        np.testing.assert_array_equal(
+            _kernels._joint_argmin_loop(u, gram, xc, 2.0),
+            _kernels._joint_argmin_numpy(u, gram, xc, 2.0),
+        )
+        np.testing.assert_array_equal(
+            _kernels._afost_argmin_loop(y, F, xc), _kernels._afost_argmin_numpy(y, F, xc)
+        )
+
+
+def test_shared_gram_matches_repeated_gram():
+    # one (B, 1, N, N) Gram per block decides as the same Gram repeated per slot
+    rng = np.random.default_rng(4)
+    for N, K in ((2, 2), (3, 3), (4, 4)):
+        u, gram, _, _, xc = random_problem(rng, B=500, N=N, K=K)
+        np.testing.assert_array_equal(
+            _kernels.joint_argmin(u, gram[:, :1], xc, 2.0),
+            _kernels.joint_argmin(u, gram, xc, 2.0),
+        )
+
+
 def tied_problem():
     # all-zero statistics tie every candidate; every path must pick index 0
     xc = enumerate_candidates(get_constellation("qpsk"), 2)
@@ -80,6 +110,7 @@ def tied_problem():
 def test_tie_break_keeps_first_minimum():
     u, gram, xc = tied_problem()
     np.testing.assert_array_equal(_kernels._joint_argmin_numpy(u, gram, xc, 1.0), 0)
+    np.testing.assert_array_equal(_kernels._joint_argmin_loop(u, gram, xc, 1.0), 0)
 
 
 def test_tie_break_keeps_first_minimum_numba():
