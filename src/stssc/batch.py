@@ -26,7 +26,7 @@ from . import _kernels
 from .channel import _draw_gains
 from .decoder import enumerate_candidates
 from .designs import OrthogonalDesign
-from .modem import Constellation, kappa_for, modulate, demap_hard
+from .modem import Constellation, _pad_bits, kappa_for, modulate, demap_hard
 
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
@@ -106,7 +106,8 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     bits = rng.integers(0, 2, size=(N, L))
     raw = np.zeros((N, n_blocks * K), dtype=complex)
     for s in range(N):
-        raw[s, :n_syms] = modulate(constellation, _pad(bits[s], constellation.bits_per_symbol))
+        padded = _pad_bits(bits[s], constellation.bits_per_symbol)
+        raw[s, :n_syms] = modulate(constellation, padded)
     X = kappa * raw.reshape(N, n_blocks, K).transpose(1, 0, 2)      # (B, N, K)
     B = n_blocks
 
@@ -161,10 +162,3 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         bit_errors=bit_errors, payload_bits=L,
         packet_error=int(bit_errors > 0), slots=slots,
     )
-
-
-def _pad(bits, bps):
-    rem = len(bits) % bps
-    if rem == 0:
-        return bits
-    return np.concatenate([bits, np.zeros(bps - rem, dtype=bits.dtype)])

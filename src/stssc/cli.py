@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 configuration error, 2 I/O error.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from .designs import DESIGN_NAMES, build_design, format_design
@@ -105,13 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run options: SimConfig's fields (snr_db_list is spelled "snr") and the CLI-only stderr
 _DEFAULTS = {
-    "scheme": "stssc", "code": "alamouti", "fading": "unit-mag",
-    "normalization": "perslot", "snr": tuple(float(s) for s in range(0, 31, 2)),
-    "packets": 2000, "packet_bits": 1000, "seed": 0, "workers": 1,
-    "noiseless": False, "stderr": False, "sources": None, "relays": None, "mod": None,
-    "phases_override": None,
+    ("snr" if f.name == "snr_db_list" else f.name): f.default
+    for f in dataclasses.fields(SimConfig) if f.name != "output_path"
 }
+_DEFAULTS["stderr"] = False
 
 
 def _merge_run_options(args: argparse.Namespace) -> dict:
@@ -130,16 +130,11 @@ def _merge_run_options(args: argparse.Namespace) -> dict:
 
 def _cmd_run(args) -> int:
     opts = _merge_run_options(args)
-    config = SimConfig(
-        scheme=opts["scheme"], code=opts["code"], sources=opts["sources"],
-        relays=opts["relays"], mod=opts["mod"], fading=opts["fading"],
-        normalization=opts["normalization"], snr_db_list=tuple(opts["snr"]),
-        packets=opts["packets"], packet_bits=opts["packet_bits"], seed=opts["seed"],
-        workers=opts["workers"], noiseless=opts["noiseless"],
-        phases_override=opts["phases_override"], output_path=args.output,
-    )
+    stderr = opts.pop("stderr")
+    opts["snr_db_list"] = tuple(opts.pop("snr"))
+    config = SimConfig(**opts, output_path=args.output)
     records = run_sweep(config)
-    emit_csv(records, args.output, extra_stderr=opts["stderr"])
+    emit_csv(records, args.output, extra_stderr=stderr)
     for rec in records:
         print(f"snr={rec.snr_db:6.2f} dB  ber={rec.ber:.3e}  per={rec.per:.3e}  "
               f"throughput={rec.throughput_bps / 1e6:.3f} Mb/s")

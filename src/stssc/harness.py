@@ -141,21 +141,32 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     return be, bits, pe, slots
 
 
-def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimRecord:
-    """Simulate one SNR point: `packets` packet sets, errors counted at destination 0."""
-    cfg = validate(config)
-    sets = range(cfg.packets)
+def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
+    """Simulate each (point_index, snr_db) of a validated config, in order.
+
+    With workers > 1 one pool serves every point: each point is cut into
+    min(workers, packets) chunks, all chunks are queued up front, and each
+    point's totals are folded in point order.  Totals are integer sums of
+    per-set results seeded by (seed, point, set), so records do not depend
+    on the worker count.
+    """
     if cfg.workers <= 1:
-        totals = _simulate_sets(cfg, snr_db, point_index, sets)
+        totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
     else:
-        chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers * 4, cfg.packets))
-        chunks = [c for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(
-                _simulate_sets, [cfg] * len(chunks), [snr_db] * len(chunks),
-                [point_index] * len(chunks), chunks,
-            ))
-        totals = tuple(sum(p[i] for p in parts) for i in range(4))
+        chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers, cfg.packets))
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            try:
+                futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]
+                           for i, snr_db in points]
+                totals = [tuple(map(sum, zip(*(f.result() for f in fs)))) for fs in futures]
+            except BaseException:
+                # a failed or interrupted sweep must not wait for the rest of the queue
+                pool.shutdown(cancel_futures=True)
+                raise
+    return [_record(cfg, snr_db, i, t) for (i, snr_db), t in zip(points, totals)]
+
+
+def _record(cfg: SimConfig, snr_db: float, point_index: int, totals) -> SimRecord:
     bit_errors, bits_total, packet_errors, slots_total = totals
     correct_bits = (cfg.packets - packet_errors) * cfg.packet_bits
     return SimRecord(
@@ -173,9 +184,14 @@ def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimReco
     )
 
 
+def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimRecord:
+    """Simulate one SNR point: `packets` packet sets, errors counted at destination 0."""
+    return _run_points(validate(config), [(point_index, snr_db)])[0]
+
+
 def run_sweep(config: SimConfig) -> list[SimRecord]:
     cfg = validate(config)
-    return [run_point(cfg, snr_db, i) for i, snr_db in enumerate(cfg.snr_db_list)]
+    return _run_points(cfg, list(enumerate(cfg.snr_db_list)))
 
 
 def _fmt(value) -> str:

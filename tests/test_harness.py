@@ -1,6 +1,11 @@
+import multiprocessing
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stssc import cli, harness
 from stssc.errors import ConfigurationError
 from stssc.harness import (
     CSV_HEADER,
@@ -77,6 +82,65 @@ def test_run_point_worker_invariance():
     serial = run_point(SimConfig(workers=1, **base), 6.0)
     parallel = run_point(SimConfig(workers=4, **base), 6.0)
     assert serial == parallel
+
+
+def test_sweep_worker_invariance_uneven_chunks():
+    # 7 packet sets split unevenly over 2 and 3 workers
+    cfg = SimConfig(scheme="stssc", code="alamouti", seed=8, packets=7, packet_bits=60,
+                    snr_db_list=(0.0, 5.0, 10.0))
+    serial = run_sweep(replace(cfg, workers=1))
+    assert run_sweep(replace(cfg, workers=2)) == serial
+    assert run_sweep(replace(cfg, workers=3)) == serial
+
+
+def test_sweep_opens_one_pool(monkeypatch):
+    starts = []
+    real_pool = harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        starts.append(1)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    cfg = SimConfig(scheme="direct", code="alamouti", seed=1, packets=6, packet_bits=60,
+                    snr_db_list=(0.0, 4.0, 8.0, 12.0))
+    assert len(run_sweep(replace(cfg, workers=2))) == 4
+    assert len(starts) == 1
+    run_sweep(replace(cfg, workers=1))
+    assert len(starts) == 1
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched packet-set function reaches workers only by fork")
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, error):
+    real = harness.simulate_packet_set
+    calls = multiprocessing.Value("i", 0)       # shared with the forked workers
+
+    def failing(scheme, design, constellation, N, M, rho, *args, **kwargs):
+        with calls.get_lock():
+            calls.value += 1
+        if rho == 1.0:                          # the 0 dB point
+            raise error("injected worker failure")
+        time.sleep(0.05)
+        return real(scheme, design, constellation, N, M, rho, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_packet_set", failing)
+    snrs = tuple(float(s) for s in range(0, 20, 2))
+    cfg = SimConfig(scheme="direct", code="alamouti", seed=1, packets=4, packet_bits=60,
+                    snr_db_list=snrs, workers=2)
+    with pytest.raises(error, match="injected worker failure"):
+        run_sweep(cfg)
+    assert multiprocessing.active_children() == []
+    # the queued points behind the failure were cancelled, not run
+    assert calls.value < cfg.packets * len(snrs) // 2
+
+    out = tmp_path / "out.csv"
+    with pytest.raises(error, match="injected worker failure"):
+        cli.main(["run", "--scheme", "direct", "--snr", "0:2:18", "--packets", "4",
+                  "--packet-bits", "60", "--workers", "2", "-o", str(out)])
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_noiseless_point_is_error_free():
