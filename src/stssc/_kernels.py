@@ -57,11 +57,20 @@ def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
 
 
 def _afost_argmin_numpy(y, F, xc):
-    """y: (B,M,K), F: (B,M,N), xc: (C,N) -> (B,K) indices."""
+    """y: (B,M,K), F: (B,M,N), xc: (C,N) -> (B,K) indices.
+
+    One slot at a time, so the largest temporary is (B, M, C), not (B, M, K, C).
+    """
+    B, _, K = y.shape
     model = np.einsum("bmn,cn->bmc", F, xc)                     # (B, M, C)
-    diff = y[:, :, :, None] - model[:, :, None, :]              # (B, M, K, C)
-    metrics = np.sum(np.abs(diff) ** 2, axis=1)                 # (B, K, C)
-    return np.argmin(metrics, axis=2).astype(np.int64)
+    diff = np.empty_like(model)
+    dist = np.empty(model.shape)
+    out = np.empty((B, K), dtype=np.int64)
+    for t in range(K):
+        np.subtract(y[:, :, t, None], model, out=diff)
+        np.square(np.abs(diff, out=dist), out=dist)
+        out[:, t] = np.argmin(np.sum(dist, axis=1), axis=1)
+    return out
 
 
 # The loops below are plain Python so that tests can run them without numba;

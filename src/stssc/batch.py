@@ -1,11 +1,13 @@
-"""Vectorized per-packet-set simulation used by the Monte Carlo harness.
+"""Vectorized packet-set simulation used by the Monte Carlo harness.
 
 One packet set is N packets (one per source) framed into coherence
-blocks; every block gets an independent channel realization.  All blocks
-of a set are simulated as batched numpy arrays, with the candidate search
-delegated to the kernels in stssc._kernels.  The per-block reference
-pipelines in stssc.schemes / stssc.decoder implement the same math and
-are used to cross-check this path in the test suite.
+blocks; every block gets an independent channel realization.  A call
+simulates several packet sets, each drawing its random variates from its
+own generator, and runs the arithmetic once on all their blocks stacked
+as batched numpy arrays, with the candidate search delegated to the
+kernels in stssc._kernels.  The per-block reference pipelines in
+stssc.schemes / stssc.decoder implement the same math and are used to
+cross-check this path in the test suite.
 
 Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign
@@ -23,10 +25,10 @@ from math import ceil, sqrt
 import numpy as np
 
 from . import _kernels
-from .channel import _draw_gains
+from .channel import _complex_noise, _gains, _set_sampler
 from .decoder import enumerate_candidates
 from .designs import OrthogonalDesign
-from .modem import Constellation, _pad_bits, kappa_for, modulate, demap_hard
+from .modem import Constellation, _pad_bits, demap_hard, kappa_for, modulate, nearest_points
 
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
@@ -38,21 +40,18 @@ SLOT_RULES = {
 
 @dataclass
 class SetResult:
+    """Totals over the packet sets of one call."""
+
     bit_errors: int
     payload_bits: int
-    packet_error: int
+    packet_error: int       # sets with at least one bit error
     slots: int
 
 
-def _batch_awgn(shape, sigma2, rng):
-    if sigma2 == 0:
-        return np.zeros(shape, dtype=complex)
-    return sqrt(sigma2 / 2.0) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-
-
-def _nearest(points: np.ndarray, est: np.ndarray) -> np.ndarray:
-    idx = np.argmin(np.abs(est[..., None] - points), axis=-1)
-    return points[idx]
+def blocks_per_set(design: OrthogonalDesign, constellation: Constellation,
+                   packet_bits: int) -> int:
+    """Coherence blocks a packet set of packet_bits-bit packets occupies."""
+    return ceil(packet_bits / (constellation.bits_per_symbol * design.K))
 
 
 def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
@@ -89,41 +88,56 @@ def stssc_decode_batch(y, hSR, hRD, g, design, candidates_scaled, rho):
 
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
                         N: int, M: int, rho: float, sigma2: float, fading: str,
-                        kappa_mode: str, packet_bits: int,
-                        rng: np.random.Generator,
+                        kappa_mode: str, packet_bits: int, rngs,
                         slots_per_block: int | None = None) -> SetResult:
-    """Simulate one packet set end to end and count destination-0 errors.
+    """Simulate one packet set per generator in rngs and total their destination-0 errors.
+
+    Set i draws from rngs[i] alone, in the order bits, gains, first noise,
+    second noise, and every block's arithmetic is independent of the other
+    blocks, so each set's errors do not depend on which sets share the call.
 
     slots_per_block overrides the scheme's slot accounting rule (throughput
     escape hatch); error counting is unaffected.
     """
     K, T = design.K, design.T
     L = packet_bits
+    S = len(rngs)
     kappa = kappa_for(N, kappa_mode, T)
-    n_blocks = ceil(L / (constellation.bits_per_symbol * K))
+    n_blocks = blocks_per_set(design, constellation, L)
     n_syms = ceil(L / constellation.bits_per_symbol)
+    B = S * n_blocks
 
-    bits = rng.integers(0, 2, size=(N, L))
-    raw = np.zeros((N, n_blocks * K), dtype=complex)
-    for s in range(N):
-        padded = _pad_bits(bits[s], constellation.bits_per_symbol)
-        raw[s, :n_syms] = modulate(constellation, padded)
-    X = kappa * raw.reshape(N, n_blocks, K).transpose(1, 0, 2)      # (B, N, K)
-    B = n_blocks
+    def gains(shape):
+        return _gains(fading, _set_sampler(rngs, (n_blocks,) + shape)).reshape((B,) + shape)
+
+    def noise(shape):
+        if sigma2 == 0:
+            return np.zeros((B,) + shape, dtype=complex)
+        draw = _set_sampler(rngs, (n_blocks,) + shape)
+        return _complex_noise(sigma2, draw).reshape((B,) + shape)
+
+    bits = np.empty((S, N, L), dtype=np.int64)
+    for set_bits, rng in zip(bits, rngs):
+        set_bits[:] = rng.integers(0, 2, size=(N, L))
+    raw = np.zeros((S, N, n_blocks * K), dtype=complex)
+    raw[..., :n_syms] = modulate(
+        constellation, _pad_bits(bits, constellation.bits_per_symbol)
+    ).reshape(S, N, n_syms)
+    X = kappa * raw.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3).reshape(B, N, K)
 
     if scheme in ("stssc", "afost"):
-        hSR = _draw_gains(fading, (B, N, M), rng)
-        hRD = _draw_gains(fading, (B, M), rng)
+        hSR = gains((N, M))
+        hRD = gains((M,))
         g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=1) + sigma2))   # (B, M)
-        q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + _batch_awgn((B, M, K), sigma2, rng)
+        q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + noise((M, K))
         cand = enumerate_candidates(constellation, N)
         xc = kappa * cand
         if scheme == "stssc":
             z = g[:, :, None] * relay_encode(design, q)
-            y = hRD[:, :, None] * z + _batch_awgn((B, M, T), sigma2, rng)
+            y = hRD[:, :, None] * z + noise((M, T))
             idx = stssc_decode_batch(y, hSR, hRD, g, design, xc, rho)
         else:
-            y = (g * hRD)[:, :, None] * q + _batch_awgn((B, M, K), sigma2, rng)
+            y = (g * hRD)[:, :, None] * q + noise((M, K))
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)
             idx = _kernels.afost_argmin(y, F, xc)
         decided0 = cand[idx, 0]                                      # (B, K)
@@ -131,34 +145,33 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     elif scheme == "dstc":
         # only destination 0's chain is simulated; the other sources' phases
         # are time-orthogonal and enter the slot accounting only
-        hSR0 = _draw_gains(fading, (B, M), rng)
-        hRD = _draw_gains(fading, (B, M), rng)
+        hSR0 = gains((M,))
+        hRD = gains((M,))
         x0 = X[:, 0, :]                                              # (B, K)
-        q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + _batch_awgn((B, M, K), sigma2, rng)
-        rd = _nearest(constellation.points, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
+        q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + noise((M, K))
+        rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
         cols = relay_encode(design, rd)
         scale = sqrt(rho / M) * kappa
-        y = scale * np.einsum("br,brt->bt", hRD, cols) + _batch_awgn((B, T), sigma2, rng)
+        y = scale * np.einsum("br,brt->bt", hRD, cols) + noise((T,))
         heff = scale * hRD                                           # (B, M)
         P, Q = relay_matched_filter(design, y[:, None, :])
         z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)   # (B, K)
         heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
-        decided0 = _nearest(constellation.points, z / heq)
+        decided0 = nearest_points(constellation, z / heq)
 
     elif scheme == "direct":
-        hSD0 = _draw_gains(fading, (B,), rng)
+        hSD0 = gains(())
         x0 = X[:, 0, :]
-        y = sqrt(rho) * hSD0[:, None] * x0 + _batch_awgn((B, K), sigma2, rng)
-        decided0 = _nearest(constellation.points, y / (sqrt(rho) * kappa * hSD0[:, None]))
+        y = sqrt(rho) * hSD0[:, None] * x0 + noise((K,))
+        decided0 = nearest_points(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    rx_bits = demap_hard(constellation, decided0.ravel()[:n_syms])[:L]
-    bit_errors = int(np.count_nonzero(rx_bits != bits[0]))
+    rx_bits = demap_hard(constellation, decided0.reshape(S, -1)[:, :n_syms]).reshape(S, -1)[:, :L]
+    set_errors = np.count_nonzero(rx_bits != bits[:, 0], axis=1)        # (S,)
     per_block = slots_per_block if slots_per_block is not None else SLOT_RULES[scheme](N, M, K, T)
-    slots = n_blocks * per_block
     return SetResult(
-        bit_errors=bit_errors, payload_bits=L,
-        packet_error=int(bit_errors > 0), slots=slots,
+        bit_errors=int(set_errors.sum()), payload_bits=S * L,
+        packet_error=int(np.count_nonzero(set_errors)), slots=B * per_block,
     )

@@ -37,12 +37,38 @@ class ChannelRealization:
         return self.hSR.shape[1]
 
 
-def _draw_gains(model: str, shape, rng: np.random.Generator) -> np.ndarray:
+def _gains(model: str, draw) -> np.ndarray:
+    """Fading gains from draw(method), which returns variates of a Generator method."""
     if model == "rayleigh":
-        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / np.sqrt(2.0)
+        normal = np.random.Generator.standard_normal
+        return (draw(normal) + 1j * draw(normal)) / np.sqrt(2.0)
     if model == "unit-mag":
-        return np.exp(2j * np.pi * rng.random(size=shape))
+        return np.exp(2j * np.pi * draw(np.random.Generator.random))
     raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
+
+
+def _complex_noise(sigma2: float, draw) -> np.ndarray:
+    """CN(0, sigma2) samples from draw(method), as in _gains; sigma2 > 0."""
+    normal = np.random.Generator.standard_normal
+    return np.sqrt(sigma2 / 2.0) * (draw(normal) + 1j * draw(normal))
+
+
+def _sampler(rng: np.random.Generator, shape):
+    """draw(method) for _gains and _complex_noise: variates of the given shape from rng."""
+    return lambda method: method(rng, size=shape)
+
+
+def _set_sampler(rngs, shape):
+    """draw(method) for several generators: a (len(rngs), *shape) array, slice i from rngs[i].
+
+    Each slice is filled in place, so every generator draws in its own order.
+    """
+    def draw(method):
+        out = np.empty((len(rngs),) + shape)
+        for rng, part in zip(rngs, out):
+            method(rng, out=part)
+        return out
+    return draw
 
 
 def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generator,
@@ -53,9 +79,9 @@ def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generato
     if rho <= 0:
         raise UsageError("rho must be positive")
     return ChannelRealization(
-        hSR=_draw_gains(model, (N, M), rng),
-        hRD=_draw_gains(model, (M,), rng),
-        hSD=_draw_gains(model, (N,), rng),
+        hSR=_gains(model, _sampler(rng, (N, M))),
+        hRD=_gains(model, _sampler(rng, (M,))),
+        hSD=_gains(model, _sampler(rng, (N,))),
         rho=float(rho),
         sigma2=float(sigma2),
     )
@@ -71,5 +97,4 @@ def awgn(length, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     shape = (length,) if np.isscalar(length) else tuple(length)
     if sigma2 == 0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return _complex_noise(sigma2, _sampler(rng, shape))

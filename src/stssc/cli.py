@@ -4,7 +4,8 @@
     stssc-sim compare stssc.csv afost.csv -o table.csv
     stssc-sim dump-design c34
 
-Exit codes: 0 ok, 1 configuration error, 2 I/O error.
+Exit codes: 0 ok, 1 configuration error, 2 I/O error, 3 any other error
+(for example one raised in a worker process).
 """
 
 import argparse
@@ -166,6 +167,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

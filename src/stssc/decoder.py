@@ -27,7 +27,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .designs import OrthogonalDesign
 from .errors import ConfigurationError, UsageError
-from .modem import Constellation
+from .modem import Constellation, nearest_points
 from .schemes import TransmissionTrace
 
 MAX_CANDIDATES = 10**6
@@ -211,9 +211,7 @@ def dstc_mrc_ml_decode(trace: TransmissionTrace, ch: ChannelRealization,
         P = np.einsum("ktr,t->rk", design.A.conj(), y)
         Q = np.einsum("ktr,t->rk", design.B, y.conj())
         z = heff.conj() @ P + heff @ Q                              # (K,)
-        est = z / heq
-        idx = np.argmin(np.abs(est[:, None] - constellation.points[None, :]), axis=1)
-        out[s] = constellation.points[idx]
+        out[s] = nearest_points(constellation, z / heq)
     return out
 
 
@@ -226,6 +224,4 @@ def direct_ml_decode(y, h: complex, constellation: Constellation, rho: float,
     y = np.asarray(y, dtype=complex)
     if h == 0:
         return np.full(y.shape, constellation.points[0])
-    est = y / (np.sqrt(rho) * h * kappa)
-    idx = np.argmin(np.abs(est[:, None] - constellation.points[None, :]), axis=1)
-    return constellation.points[idx]
+    return nearest_points(constellation, y / (np.sqrt(rho) * h * kappa))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .batch import simulate_packet_set
+from .batch import blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
 from .decoder import MAX_CANDIDATES
 from .designs import build_design
@@ -17,6 +17,10 @@ from .modem import KAPPA_MODES, check_compatible, get_constellation
 from .schemes import SCHEMES
 
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
+
+# coherence blocks simulated per call of simulate_packet_set: enough sets to
+# spread its fixed per-call costs, few enough to bound its arrays
+_GROUP_BLOCKS = 512
 
 CSV_HEADER = [
     "snr_db", "ber", "per", "throughput_bps", "bits_total", "bit_errors",
@@ -121,17 +125,24 @@ def _point_seed(config: SimConfig, point_index: int) -> int:
 
 def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    set_indices) -> tuple[int, int, int, int]:
-    """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots)."""
+    """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots).
+
+    Consecutive sets are simulated in groups of at most _GROUP_BLOCKS blocks
+    (at least one set); each set keeps its own generator, so grouping does
+    not change the totals.
+    """
     design = build_design(cfg.code)
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
+    group = max(1, _GROUP_BLOCKS // blocks_per_set(design, constellation, cfg.packet_bits))
     be = bits = pe = slots = 0
-    for i in set_indices:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, point_index, i]))
+    for start in range(0, len(set_indices), group):
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, point_index, i]))
+                for i in set_indices[start:start + group]]
         res = simulate_packet_set(
             cfg.scheme, design, constellation, cfg.sources, cfg.relays,
-            rho, sigma2, cfg.fading, cfg.normalization, cfg.packet_bits, rng,
+            rho, sigma2, cfg.fading, cfg.normalization, cfg.packet_bits, rngs,
             slots_per_block=cfg.phases_override,
         )
         be += res.bit_errors

@@ -64,6 +64,12 @@ def demap_hard(c: Constellation, symbols) -> np.ndarray:
     return bits.ravel()
 
 
+def nearest_points(c: Constellation, est) -> np.ndarray:
+    """The constellation point nearest each estimate; a tie goes to the first such point."""
+    idx = np.argmin(np.abs(est[..., None] - c.points), axis=-1)
+    return c.points[idx]
+
+
 @dataclass(frozen=True)
 class Packet:
     bits: np.ndarray
@@ -141,10 +147,12 @@ def frame_packets(packets, c: Constellation, K: int, kappa_mode: str = "perslot"
 
 
 def _pad_bits(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
-    rem = len(bits) % bits_per_symbol
+    """Zero-pad the last axis of bits to a whole number of symbols."""
+    rem = bits.shape[-1] % bits_per_symbol
     if rem == 0:
         return np.asarray(bits)
-    return np.concatenate([bits, np.zeros(bits_per_symbol - rem, dtype=np.int64)])
+    pad = np.zeros(bits.shape[:-1] + (bits_per_symbol - rem,), dtype=np.int64)
+    return np.concatenate([bits, pad], axis=-1)
 
 
 def recover_bits(c: Constellation, decided_blocks, L: int) -> np.ndarray:

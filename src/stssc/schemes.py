@@ -14,7 +14,7 @@ import numpy as np
 from .channel import ChannelRealization, awgn
 from .designs import OrthogonalDesign
 from .errors import UsageError
-from .modem import Constellation, SourceBlock
+from .modem import Constellation, SourceBlock, nearest_points
 
 SCHEMES = ("stssc", "afost", "dstc", "direct")
 
@@ -120,8 +120,7 @@ def dstc_pipeline(block: SourceBlock, ch: ChannelRealization, design: Orthogonal
         q_s = np.sqrt(ch.rho) * ch.hSR[s][:, None] * block.X[s][None, :] + awgn((M, K), ch.sigma2, rng)
         # per-symbol nearest-point relay demodulation (single source on the air)
         est = q_s / (np.sqrt(ch.rho) * block.kappa * ch.hSR[s][:, None])
-        idx = np.argmin(np.abs(est[:, :, None] - constellation.points[None, None, :]), axis=2)
-        rd[s] = constellation.points[idx]
+        rd[s] = nearest_points(constellation, est)
         # simultaneous forwarding: relay r transmits column r of G(decisions_r)
         cols = np.einsum("ktr,rk->rt", design.A, rd[s]) + np.einsum("ktr,rk->rt", design.B, rd[s].conj())
         y[s] = scale * (ch.hRD @ cols) + awgn(T, ch.sigma2, rng)

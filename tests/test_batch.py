@@ -1,12 +1,14 @@
 """Cross-checks of the vectorized Monte Carlo engine against the per-block
 reference pipelines and decoders."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from stssc import _kernels
 from stssc.batch import (
-    SLOT_RULES, relay_matched_filter, simulate_packet_set, stssc_decode_batch,
+    SLOT_RULES, SetResult, relay_matched_filter, simulate_packet_set, stssc_decode_batch,
 )
 from stssc.channel import draw_channel
 from stssc.decoder import afost_ml_decode, enumerate_candidates, joint_ml_decode, matched_filter
@@ -93,7 +95,7 @@ def test_packet_set_deterministic(scheme):
     for _ in range(2):
         rng = np.random.default_rng(123)
         results.append(simulate_packet_set(scheme, d, c, 2, 2, 10.0, 1.0,
-                                           "rayleigh", "perslot", 200, rng))
+                                           "rayleigh", "perslot", 200, [rng]))
     assert results[0] == results[1]
 
 
@@ -104,10 +106,30 @@ def test_packet_set_noiseless_error_free(scheme, name):
     c = constellation_for(d)
     rng = np.random.default_rng(7)
     res = simulate_packet_set(scheme, d, c, d.M, d.M, 10.0, 0.0,
-                              "unit-mag", "perslot", 300, rng)
+                              "unit-mag", "perslot", 300, [rng])
     assert res.bit_errors == 0
     assert res.packet_error == 0
     assert res.payload_bits == 300
+
+
+@pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
+@pytest.mark.parametrize("fading", ["unit-mag", "rayleigh"])
+@pytest.mark.parametrize("sigma2", [1.0, 0.0])
+def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
+    # 127 QPSK bits pad to 64 symbols and c34 pads those to 22 blocks of 3 slots
+    d = build_design("c34")
+    c = get_constellation("qpsk")
+    seeds = range(40, 45)
+
+    def run(rngs):
+        return simulate_packet_set(scheme, d, c, 3, 3, 3.0, sigma2, fading, "perslot", 127, rngs)
+
+    grouped = run([np.random.default_rng(s) for s in seeds])
+    singles = [run([np.random.default_rng(s)]) for s in seeds]
+    assert grouped == SetResult(*(sum(getattr(r, f.name) for r in singles)
+                                  for f in fields(SetResult)))
+    if sigma2:
+        assert len({r.bit_errors for r in singles}) > 1
 
 
 def test_packet_set_slot_accounting():
@@ -116,7 +138,7 @@ def test_packet_set_slot_accounting():
     rng = np.random.default_rng(7)
     # 200 bits / (2 bits/sym * 2 slots) = 50 blocks
     res = simulate_packet_set("stssc", d, c, 2, 2, 1.0, 1.0, "unit-mag",
-                              "perslot", 200, rng)
+                              "perslot", 200, [rng])
     assert res.slots == 50 * 6
 
 
@@ -128,7 +150,7 @@ def test_direct_low_snr_random_guessing():
     total = err = 0
     for _ in range(50):
         res = simulate_packet_set("direct", d, c, 2, 2, 1e-3, 1.0, "rayleigh",
-                                  "perslot", 1000, rng)
+                                  "perslot", 1000, [rng])
         err += res.bit_errors
         total += res.payload_bits
     assert err / total == pytest.approx(0.5, abs=0.02)

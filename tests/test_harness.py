@@ -113,17 +113,19 @@ def test_sweep_opens_one_pool(monkeypatch):
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the patched packet-set function reaches workers only by fork")
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, error):
+def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, capsys, error):
     real = harness.simulate_packet_set
-    calls = multiprocessing.Value("i", 0)       # shared with the forked workers
+    sets = multiprocessing.Value("i", 0)        # shared with the forked workers
 
-    def failing(scheme, design, constellation, N, M, rho, *args, **kwargs):
-        with calls.get_lock():
-            calls.value += 1
+    def failing(scheme, design, constellation, N, M, rho, sigma2, fading, kappa_mode,
+                packet_bits, rngs, **kwargs):
+        with sets.get_lock():
+            sets.value += len(rngs)
         if rho == 1.0:                          # the 0 dB point
             raise error("injected worker failure")
         time.sleep(0.05)
-        return real(scheme, design, constellation, N, M, rho, *args, **kwargs)
+        return real(scheme, design, constellation, N, M, rho, sigma2, fading, kappa_mode,
+                    packet_bits, rngs, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_packet_set", failing)
     snrs = tuple(float(s) for s in range(0, 20, 2))
@@ -133,14 +135,30 @@ def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, 
         run_sweep(cfg)
     assert multiprocessing.active_children() == []
     # the queued points behind the failure were cancelled, not run
-    assert calls.value < cfg.packets * len(snrs) // 2
+    assert sets.value < cfg.packets * len(snrs) // 2
 
     out = tmp_path / "out.csv"
-    with pytest.raises(error, match="injected worker failure"):
-        cli.main(["run", "--scheme", "direct", "--snr", "0:2:18", "--packets", "4",
-                  "--packet-bits", "60", "--workers", "2", "-o", str(out)])
+    argv = ["run", "--scheme", "direct", "--snr", "0:2:18", "--packets", "4",
+            "--packet-bits", "60", "--workers", "2", "-o", str(out)]
+    if error is KeyboardInterrupt:
+        with pytest.raises(error, match="injected worker failure"):
+            cli.main(argv)
+    else:
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: RuntimeError: injected worker failure\n"
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
+def test_sweep_records_do_not_depend_on_grouping(monkeypatch, scheme):
+    # 127-bit QPSK sets are 32 blocks: 40 sets run as groups of 16, 16 and 8,
+    # or one set per call when the block budget is 1
+    cfg = SimConfig(scheme=scheme, code="alamouti", seed=9, packets=40, packet_bits=127,
+                    snr_db_list=(0.0, 10.0))
+    grouped = run_sweep(cfg)
+    monkeypatch.setattr(harness, "_GROUP_BLOCKS", 1)
+    assert run_sweep(cfg) == grouped
 
 
 def test_noiseless_point_is_error_free():

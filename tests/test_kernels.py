@@ -99,6 +99,31 @@ def test_shared_gram_matches_repeated_gram():
         )
 
 
+def afost_broadcast(y, F, xc):
+    # the (B, M, K, C) formulation the per-slot numpy kernel replaced
+    model = np.einsum("bmn,cn->bmc", F, xc)
+    diff = y[:, :, :, None] - model[:, :, None, :]
+    return np.argmin(np.sum(np.abs(diff) ** 2, axis=1), axis=2)
+
+
+def test_afost_per_slot_kernel_matches_broadcast():
+    rng = np.random.default_rng(6)
+    for N, K, M in ((2, 2, 2), (3, 3, 3), (4, 4, 4)):
+        _, _, y, F, xc = random_problem(rng, B=300, N=N, K=K, M=M)
+        np.testing.assert_array_equal(_kernels._afost_argmin_numpy(y, F, xc),
+                                      afost_broadcast(y, F, xc))
+        # gains in {0, +-1} tie the candidates that differ only where a gain is 0
+        F = rng.integers(-1, 2, size=F.shape) + 0j
+        np.testing.assert_array_equal(_kernels._afost_argmin_numpy(y, F, xc),
+                                      afost_broadcast(y, F, xc))
+    # zero gains tie every candidate: both keep the first minimum
+    xc = enumerate_candidates(get_constellation("qpsk"), 2)
+    y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    F = np.zeros((3, 2, 2), dtype=complex)
+    np.testing.assert_array_equal(_kernels._afost_argmin_numpy(y, F, xc), 0)
+    np.testing.assert_array_equal(afost_broadcast(y, F, xc), 0)
+
+
 def tied_problem():
     # all-zero statistics tie every candidate; every path must pick index 0
     xc = enumerate_candidates(get_constellation("qpsk"), 2)
