@@ -21,6 +21,8 @@ keeps only the per-symbol diagonal does not.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -60,26 +62,27 @@ def matched_filter(trace: TransmissionTrace, ch: ChannelRealization,
     if trace.scheme != "stssc":
         raise UsageError(f"matched_filter expects an stssc trace, got {trace.scheme!r}")
     gains = np.asarray(gains, dtype=float)
-    N, M, K, T = ch.N, ch.M, design.K, design.T
+    T = design.T
     y = trace.yRD                                   # (M, T)
     ytil = np.concatenate([y, y.conj()], axis=1)    # (M, 2T)
 
     # inner[r, t] = signature_{t,r}^H y~_r with signature = [h_rd a_{t,r}; h_rd* b_{t,r}*]
-    P = np.einsum("ktr,rt->rk", design.A.conj(), y)
-    Q = np.einsum("ktr,rt->rk", design.B, y.conj())
+    # P[r, k] = sum_tau conj(A[k, tau, r]) y[r, tau]; Q likewise from B and y*
+    P = (y[:, None, :] @ design.A.conj().transpose(2, 1, 0))[:, 0]      # (M, K)
+    Q = (y.conj()[:, None, :] @ design.B.transpose(2, 1, 0))[:, 0]
     inner = ch.hRD.conj()[:, None] * P + ch.hRD[:, None] * Q        # (M, K)
     u = np.einsum("r,sr,rk->sk", gains, ch.hSR.conj(), inner)       # (N, K)
 
     # v[s, t] = sum_r g^2 d_t |h_sr|^2 * T |h_rd|^2
     w_r = gains**2 * np.abs(ch.hRD) ** 2                            # (M,)
-    v = np.einsum("r,sr->s", w_r * T, np.abs(ch.hSR) ** 2)[:, None] * design.d[None, :]
+    v = ((w_r * T) @ (np.abs(ch.hSR) ** 2).T)[:, None] * design.d[None, :]
 
     # gram[t, s, s'] = sum_r g^2 |h_rd|^2 c_{t,r} h_sr h_s'r*
     c = design.column_weights()                                     # (K, M)
-    gram = np.einsum("r,tr,sr,pr->tsp", w_r, c, ch.hSR, ch.hSR.conj())
+    gram = (c[:, None, :] * (w_r * ch.hSR)) @ ch.hSR.conj().T      # (K, N, N)
 
-    yNormSq = float(np.sum(np.abs(ytil) ** 2))
-    return DecoderStatistics(u=u, v=np.ascontiguousarray(v), yNormSq=yNormSq, gram=gram)
+    yNormSq = float((np.abs(ytil) ** 2).sum())
+    return DecoderStatistics(u=u, v=v, yNormSq=yNormSq, gram=gram)
 
 
 def per_symbol_metric(stats: DecoderStatistics, s: int, t: int, x: complex,
@@ -93,22 +96,34 @@ def per_symbol_metric(stats: DecoderStatistics, s: int, t: int, x: complex,
 
 
 def enumerate_candidates(constellation: Constellation, N: int) -> np.ndarray:
-    """All candidate source vectors, shape (|Q|^N, N), source-major point-index order."""
+    """All candidate source vectors, shape (|Q|^N, N), source-major point-index order.
+
+    The table is read-only and shared: calls with the same points and N
+    return the same array.
+    """
     if constellation.size**N > MAX_CANDIDATES:
         raise ConfigurationError(
             f"candidate space {constellation.size}^{N} exceeds {MAX_CANDIDATES}; "
             "reduce the number of sources or the constellation order"
         )
-    return np.array(list(itertools.product(constellation.points, repeat=N)), dtype=complex)
+    return _candidate_table(np.asarray(constellation.points, dtype=complex).tobytes(), N)
+
+
+@lru_cache(maxsize=16)
+def _candidate_table(points: bytes, N: int) -> np.ndarray:
+    table = np.array(list(itertools.product(np.frombuffer(points, dtype=complex), repeat=N)),
+                     dtype=complex)
+    table.setflags(write=False)
+    return table
 
 
 def slot_metrics(stats: DecoderStatistics, t: int, candidates: np.ndarray,
                  kappa: float, rho: float) -> np.ndarray:
     """Exact per-slot distance metric for every candidate vector (constant term included)."""
     xc = kappa * candidates                                         # (C, N)
-    lin = np.real(xc.conj() @ stats.u[:, t])                        # (C,)
-    quad = np.real(np.einsum("cs,sp,cp->c", xc, stats.gram[t], xc.conj()))
-    return stats.yNormSq - 4.0 * np.sqrt(rho) * lin + 2.0 * rho * quad
+    lin = (xc.conj() @ stats.u[:, t]).real                          # (C,)
+    quad = ((xc @ stats.gram[t]) * xc.conj()).sum(1).real
+    return stats.yNormSq - 4.0 * sqrt(rho) * lin + 2.0 * rho * quad
 
 
 def joint_ml_decode_slot(stats: DecoderStatistics, t: int, constellation: Constellation,
@@ -119,7 +134,7 @@ def joint_ml_decode_slot(stats: DecoderStatistics, t: int, constellation: Conste
     """
     candidates = enumerate_candidates(constellation, N)
     metrics = slot_metrics(stats, t, candidates, kappa, rho)
-    return candidates[int(np.argmin(metrics))].copy()
+    return candidates[metrics.argmin()].copy()
 
 
 def joint_ml_decode(stats: DecoderStatistics, constellation: Constellation,
@@ -141,8 +156,8 @@ def brute_force_oracle(trace: TransmissionTrace, ch: ChannelRealization,
 
     For each slot, places the candidate column in an otherwise-zero block,
     runs it through the full two-hop model and minimizes
-    sum_r ||y~_r - model~_r||^2.  No matched-filter shortcut; used as the
-    independent check on the fast chain.
+    sum_r ||y~_r - model~_r||^2.  All slots are modelled at once.  No
+    matched-filter shortcut; used as the independent check on the fast chain.
     """
     if trace.scheme != "stssc":
         raise UsageError(f"brute_force_oracle expects an stssc trace, got {trace.scheme!r}")
@@ -151,25 +166,18 @@ def brute_force_oracle(trace: TransmissionTrace, ch: ChannelRealization,
     C, N = candidates.shape
     if C * design.K > MAX_CANDIDATES:
         raise ConfigurationError("candidate enumeration too large for brute-force decoding")
-    K, M, T = design.K, design.M, design.T
     y = trace.yRD                                           # (M, T)
-    sr = np.sqrt(ch.rho)
 
-    out = np.zeros((N, K), dtype=complex)
     # xi[r, c]: noiseless relay observation of the candidate column
-    xi = sr * kappa * (ch.hSR.T @ candidates.T)             # (M, C)
-    for t in range(K):
-        # model y (per relay): h_rd g (a_{t,r} xi + b_{t,r} xi*)
-        a = design.A[t]                                     # (T, M)
-        b = design.B[t]
-        model = (ch.hRD * gains)[None, :, None] * (
-            a[:, :, None] * xi[None, :, :] + b[:, :, None] * xi.conj()[None, :, :]
-        )                                                   # (T, M, C)
-        diff = y.T[:, :, None] - model                      # (T, M, C)
-        # ||y~ - model~||^2 = 2 ||y - model||^2
-        metrics = 2.0 * np.sum(np.abs(diff) ** 2, axis=(0, 1))
-        out[:, t] = candidates[int(np.argmin(metrics))]
-    return out
+    xi = sqrt(ch.rho) * kappa * (ch.hSR.T @ candidates.T)   # (M, C)
+    # model of slot t's column (per relay): h_rd g (a_{t,r} xi + b_{t,r} xi*)
+    model = (ch.hRD * gains)[:, None] * (
+        design.A[..., None] * xi + design.B[..., None] * xi.conj()
+    )                                                       # (K, T, M, C)
+    diff = y.T[:, :, None] - model                          # (K, T, M, C)
+    # ||y~ - model~||^2 = 2 ||y - model||^2
+    metrics = 2.0 * np.sum(np.abs(diff) ** 2, axis=(1, 2))  # (K, C)
+    return candidates[metrics.argmin(axis=1)].T
 
 
 def afost_ml_decode(trace: TransmissionTrace, ch: ChannelRealization, gains,

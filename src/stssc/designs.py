@@ -54,6 +54,7 @@ class OrthogonalDesign:
     B[t] disperses its conjugate.  d[t] = trace(A_t^H A_t + B_t^H B_t).
     slot, sign and conjugated are (M, K) tables: relay r sends symbol t in
     slot[r, t] as sign[r, t] * x[t], conjugated where conjugated[r, t].
+    column_weights() is computed once, when the design is built.
     Instances are immutable and safe to share across workers.
     """
 
@@ -74,12 +75,14 @@ class OrthogonalDesign:
         return self.K / self.T
 
     def __post_init__(self):
-        for table in (self.A, self.B, self.d, self.slot, self.sign, self.conjugated):
+        weights = (np.sum(np.abs(self.A) ** 2, axis=1) + np.sum(np.abs(self.B) ** 2, axis=1)).real
+        object.__setattr__(self, "_column_weights", weights)
+        for table in (self.A, self.B, self.d, self.slot, self.sign, self.conjugated, weights):
             table.setflags(write=False)
 
     def column_weights(self) -> np.ndarray:
         """Per-(symbol, relay) dispersion energy ||a_{t,r}||^2 + ||b_{t,r}||^2, shape (K, M)."""
-        return (np.sum(np.abs(self.A) ** 2, axis=1) + np.sum(np.abs(self.B) ** 2, axis=1)).real
+        return self._column_weights
 
     def slot_weights(self) -> np.ndarray:
         """Per-(slot, relay) transmit energy share sum_t |A[t,tau,r]|^2 + |B[t,tau,r]|^2, shape (T, M)."""

@@ -17,6 +17,7 @@ from .modem import KAPPA_MODES, check_compatible, get_constellation
 from .schemes import SCHEMES
 
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
+MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB
 
 # coherence blocks simulated per call of simulate_packet_set: enough sets to
 # spread its fixed per-call costs, few enough to bound its arrays
@@ -91,6 +92,10 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError("SNR list must be nonempty")
     if not all(np.isfinite(s) for s in cfg.snr_db_list):
         raise ConfigurationError("SNR values must be finite")
+    if max(abs(s) for s in cfg.snr_db_list) > MAX_SNR_DB:
+        raise ConfigurationError(f"SNR values must lie within +-{MAX_SNR_DB:g} dB")
+    if cfg.seed < 0:
+        raise ConfigurationError("seed must be nonnegative")
     if cfg.fading not in FADING_MODELS:
         raise ConfigurationError(f"unknown fading model {cfg.fading!r}")
     if cfg.normalization not in KAPPA_MODES:

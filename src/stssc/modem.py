@@ -45,8 +45,8 @@ def modulate(c: Constellation, bits) -> np.ndarray:
             f"bit count {bits.size} not divisible by {c.bits_per_symbol}; pad during framing"
         )
     groups = bits.reshape(-1, c.bits_per_symbol)
-    idx = np.zeros(len(groups), dtype=np.int64)
-    for b in range(c.bits_per_symbol):
+    idx = groups[:, 0]
+    for b in range(1, c.bits_per_symbol):
         idx = (idx << 1) | groups[:, b]
     return c.points[idx]
 
@@ -134,16 +134,14 @@ def frame_packets(packets, c: Constellation, K: int, kappa_mode: str = "perslot"
     kappa = kappa_for(N, kappa_mode, T)
 
     n_blocks = ceil(L / (c.bits_per_symbol * K))
-    syms_total = n_blocks * K
-    raw = np.zeros((N, syms_total), dtype=complex)
-    for s, p in enumerate(packets):
-        syms = modulate(c, _pad_bits(p.bits, c.bits_per_symbol))
-        raw[s, : len(syms)] = syms
-    blocks = []
-    for b in range(n_blocks):
-        chunk = raw[:, b * K : (b + 1) * K]
-        blocks.append(SourceBlock(X=kappa * chunk, raw=chunk.copy(), kappa=kappa))
-    return blocks
+    bits = _pad_bits(np.array([p.bits for p in packets]), c.bits_per_symbol)
+    syms = modulate(c, bits).reshape(N, -1)
+    raw = np.zeros((N, n_blocks * K), dtype=complex)
+    raw[:, : syms.shape[1]] = syms
+    # (n_blocks, N, K): block b holds every source's next K symbols, contiguous
+    raw = np.ascontiguousarray(raw.reshape(N, n_blocks, K).transpose(1, 0, 2))
+    X = kappa * raw
+    return [SourceBlock(X=X[b], raw=raw[b], kappa=kappa) for b in range(n_blocks)]
 
 
 def _pad_bits(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:

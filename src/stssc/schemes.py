@@ -8,6 +8,7 @@ equivalents in stssc.batch.
 """
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def broadcast_phase(block: SourceBlock, ch: ChannelRealization,
     """Relay observations q_r[t] = sqrt(rho) sum_s h_{s,r} X[s,t] + w, shape (M, K)."""
     if block.N != ch.N:
         raise UsageError(f"block has {block.N} sources, channel has {ch.N}")
-    clean = np.sqrt(ch.rho) * (ch.hSR.T @ block.X)              # (M, K)
+    clean = sqrt(ch.rho) * (ch.hSR.T @ block.X)                 # (M, K)
     return clean + awgn(clean.shape, ch.sigma2, rng)
 
 
@@ -49,7 +50,7 @@ def relay_gain(ch: ChannelRealization, r: int) -> float:
 
 def relay_gains(ch: ChannelRealization) -> np.ndarray:
     """g_r = sqrt(rho / (rho * sum_s |h_{s,r}|^2 + sigma^2)) for all relays."""
-    denom = ch.rho * np.sum(np.abs(ch.hSR) ** 2, axis=0) + ch.sigma2
+    denom = ch.rho * (np.abs(ch.hSR) ** 2).sum(0) + ch.sigma2
     return np.sqrt(ch.rho / denom)
 
 
@@ -75,13 +76,18 @@ def stssc_forward(z_r: np.ndarray, ch: ChannelRealization, r: int,
 
 def stssc_pipeline(block: SourceBlock, ch: ChannelRealization, design: OrthogonalDesign,
                    rng: np.random.Generator) -> TransmissionTrace:
-    """Broadcast, amplify-and-space-time-encode at each relay, forward sequentially."""
+    """Broadcast, amplify-and-space-time-encode at each relay, forward sequentially.
+
+    Every relay encodes at once as in stssc_relay_encode; the forwarding
+    noise is drawn one relay at a time, in relay order, as in stssc_forward.
+    """
     q = broadcast_phase(block, ch, rng)
     g = relay_gains(ch)
-    y = np.zeros((design.M, design.T), dtype=complex)
-    for r in range(1, design.M + 1):
-        z = stssc_relay_encode(q[r - 1], design, r, g[r - 1])
-        y[r - 1] = stssc_forward(z, ch, r, rng)
+    # z[r] = g_r (q_r @ A[:, :, r] + q_r* @ B[:, :, r]), shape (M, T)
+    z = g[:, None] * (q[:, None, :] @ design.A.transpose(2, 0, 1)
+                      + q.conj()[:, None, :] @ design.B.transpose(2, 0, 1))[:, 0]
+    noise = np.array([awgn(design.T, ch.sigma2, rng) for _ in range(design.M)])
+    y = ch.hRD[:, None] * z + noise
     return TransmissionTrace(
         scheme="stssc", slots_used=design.K + design.M * design.T,
         gains=g, qR=q, yRD=y,

@@ -1,7 +1,7 @@
 import numpy as np
 
 from stssc.channel import ChannelRealization
-from stssc.modem import SourceBlock
+from stssc.modem import SourceBlock, get_constellation
 
 
 def make_channel(hSR, hRD, hSD=None, rho=1.0, sigma2=1.0):
@@ -14,6 +14,10 @@ def make_channel(hSR, hRD, hSD=None, rho=1.0, sigma2=1.0):
         hSR=hSR, hRD=hRD, hSD=np.asarray(hSD, dtype=complex),
         rho=float(rho), sigma2=float(sigma2),
     )
+
+
+def constellation_for(design):
+    return get_constellation("bpsk" if design.real_only else "qpsk")
 
 
 def random_block(constellation, N, K, kappa, rng):

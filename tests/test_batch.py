@@ -16,11 +16,7 @@ from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import get_constellation
 from stssc.schemes import af_ost_pipeline, relay_gains, stssc_pipeline
 
-from conftest import random_block
-
-
-def constellation_for(design):
-    return get_constellation("bpsk" if design.real_only else "qpsk")
+from conftest import constellation_for, random_block
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
-from conftest import make_channel, random_block
+from conftest import constellation_for, make_channel, random_block
 
+from stssc import decoder
+from stssc.batch import simulate_packet_set
 from stssc.channel import draw_channel
 from stssc.decoder import (
     DecoderStatistics,
@@ -19,7 +23,7 @@ from stssc.decoder import (
 )
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.errors import ConfigurationError, UsageError
-from stssc.modem import get_constellation
+from stssc.modem import Constellation, get_constellation
 from stssc.schemes import (
     af_ost_pipeline,
     direct_pipeline,
@@ -27,10 +31,6 @@ from stssc.schemes import (
     relay_gains,
     stssc_pipeline,
 )
-
-
-def constellation_for(design):
-    return get_constellation("bpsk" if design.real_only else "qpsk")
 
 
 def test_extend_conjugate():
@@ -123,6 +123,57 @@ def test_enumerate_candidates_order_and_limit():
     np.testing.assert_allclose(cand[4], [c.points[1], c.points[0]])
     with pytest.raises(ConfigurationError):
         enumerate_candidates(c, 11)                 # 4^11 > 10^6
+
+
+def test_enumerate_candidates_table_is_shared_and_read_only():
+    c = get_constellation("qpsk")
+    cand = enumerate_candidates(c, 2)
+    assert enumerate_candidates(get_constellation("qpsk"), 2) is cand
+    assert not cand.flags.writeable
+    with pytest.raises(ValueError):
+        cand[0, 0] = 0
+    assert enumerate_candidates(c, 3).shape == (64, 3)          # N is part of the key
+
+
+def test_enumerate_candidates_keyed_on_points():
+    c = get_constellation("qpsk")
+    cand = enumerate_candidates(c, 2)
+    assert enumerate_candidates(Constellation("copy", c.points.copy(), 2, False), 2) is cand
+    rotated = Constellation("rotated", 1j * c.points, 2, False)
+    table = enumerate_candidates(rotated, 2)
+    assert table is not cand
+    np.testing.assert_array_equal(table, list(itertools.product(rotated.points, repeat=2)))
+
+
+def test_enumerate_candidates_limit_checked_on_every_call(monkeypatch):
+    c = get_constellation("qpsk")
+    enumerate_candidates(c, 2)
+    monkeypatch.setattr(decoder, "MAX_CANDIDATES", 15)
+    with pytest.raises(ConfigurationError):
+        enumerate_candidates(c, 2)                  # 16 > 15, though already built
+
+
+@pytest.mark.parametrize("scheme", ["stssc", "afost"])
+def test_shared_candidate_table_leaves_batched_chain_unchanged(scheme):
+    # the batched chain reads the table as cand[idx, 0] and kappa * cand:
+    # both are fresh arrays, and a cold and a warm table give the same result
+    d = build_design("alamouti")
+    c = get_constellation("qpsk")
+    cand = enumerate_candidates(c, 2)
+    before = cand.copy()
+    picked = cand[np.array([[3, 0], [15, 7]]), 0]
+    scaled = 0.5 * cand
+    picked[:] = 0
+    scaled[:] = 0
+    np.testing.assert_array_equal(cand, before)
+
+    def run():
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        return simulate_packet_set(scheme, d, c, 2, 2, 3.0, 1.0, "rayleigh", "perslot", 200, rngs)
+
+    decoder._candidate_table.cache_clear()
+    cold = run()
+    assert run() == cold
 
 
 def test_slot_metric_constant_shift_invariance():

@@ -1,14 +1,21 @@
 import multiprocessing
+import os
+import tempfile
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stssc import cli, harness
+from stssc.channel import FADING_MODELS
+from stssc.designs import DESIGN_NAMES
 from stssc.errors import ConfigurationError
 from stssc.harness import (
     CSV_HEADER,
+    MAX_SNR_DB,
     SimConfig,
     compare_runs,
     config_hash,
@@ -18,6 +25,8 @@ from stssc.harness import (
     run_sweep,
     validate,
 )
+from stssc.modem import CONSTELLATION_NAMES, KAPPA_MODES
+from stssc.schemes import SCHEMES
 
 SMALL = dict(packets=30, packet_bits=60, snr_db_list=(0.0, 10.0))
 
@@ -42,6 +51,12 @@ def test_validate_rejects_bad_configs():
         validate(SimConfig(snr_db_list=()))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(snr_db_list=(np.inf,)))
+    with pytest.raises(ConfigurationError):
+        validate(SimConfig(snr_db_list=(10.0, MAX_SNR_DB + 1)))    # 10^(snr/10) overflows
+    with pytest.raises(ConfigurationError):
+        validate(SimConfig(snr_db_list=(-1e300,), noiseless=True))  # ... or underflows to 0
+    with pytest.raises(ConfigurationError):
+        validate(SimConfig(seed=-1))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(fading="nakagami"))
     with pytest.raises(ConfigurationError):
@@ -244,3 +259,46 @@ def test_compare_runs_grid_mismatch(tmp_path):
     emit_csv(run_sweep(cfg2), str(p2))
     with pytest.raises(ConfigurationError):
         compare_runs([str(p1), str(p2)], str(tmp_path / "cmp.csv"))
+
+
+# small valid configs, and the same with one field set to an invalid or
+# extreme value; a broken SNR list may hold any float at all
+SMALL_CONFIGS = st.builds(
+    SimConfig,
+    scheme=st.sampled_from(SCHEMES),
+    code=st.sampled_from(DESIGN_NAMES),
+    sources=st.none() | st.integers(1, 3),
+    mod=st.none() | st.sampled_from(CONSTELLATION_NAMES),
+    fading=st.sampled_from(FADING_MODELS),
+    normalization=st.sampled_from(KAPPA_MODES),
+    snr_db_list=st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=3).map(tuple),
+    packets=st.integers(1, 5),
+    packet_bits=st.integers(1, 40),
+    seed=st.integers(0, 2**64),
+    noiseless=st.booleans(),
+    phases_override=st.none() | st.integers(1, 30),
+)
+BROKEN_FIELDS = st.sampled_from([
+    ("scheme", "relay"), ("code", "c88"), ("sources", 0), ("relays", 5), ("mod", "8psk"),
+    ("fading", "nakagami"), ("normalization", "none"), ("snr_db_list", ()), ("packets", 0),
+    ("packet_bits", 0), ("seed", -1), ("phases_override", 0),
+]) | st.tuples(st.just("snr_db_list"), st.lists(st.floats(), min_size=1, max_size=3).map(tuple))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(config=SMALL_CONFIGS, broken=st.none() | BROKEN_FIELDS, extra_stderr=st.booleans())
+def test_random_configs_rejected_or_worker_invariant(config, broken, extra_stderr):
+    if broken is not None:
+        config = replace(config, **dict([broken]))
+    try:
+        validate(config)
+    except ConfigurationError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        data = []
+        for workers in (1, 2):
+            path = os.path.join(tmp, f"w{workers}.csv")
+            emit_csv(run_sweep(replace(config, workers=workers)), path, extra_stderr)
+            with open(path, "rb") as fh:
+                data.append(fh.read())
+    assert data[0] == data[1]
