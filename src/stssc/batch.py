@@ -30,6 +30,12 @@ from .decoder import enumerate_candidates
 from .designs import OrthogonalDesign
 from .modem import Constellation, _pad_bits, demap_hard, kappa_for, modulate, nearest_points
 
+# coherence blocks per unit of batched work: the harness simulates packet sets
+# in groups of at most this many blocks (at least one set), and the stssc
+# chain runs its relay-to-decision arithmetic in tiles of this many blocks, so
+# that the arrays past the random draws do not grow with the packet set
+BLOCK_BUDGET = 512
+
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
     "afost": lambda N, M, K, T: (1 + M) * K,
@@ -94,7 +100,8 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
 
     Set i draws from rngs[i] alone, in the order bits, gains, first noise,
     second noise, and every block's arithmetic is independent of the other
-    blocks, so each set's errors do not depend on which sets share the call.
+    blocks, so each set's errors do not depend on which sets share the call
+    or on how the stssc chain is cut into tiles.
 
     slots_per_block overrides the scheme's slot accounting rule (throughput
     escape hatch); error counting is unaffected.
@@ -114,7 +121,8 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         if sigma2 == 0:
             return np.zeros((B,) + shape, dtype=complex)
         draw = _set_sampler(rngs, (n_blocks,) + shape)
-        return _complex_noise(sigma2, draw).reshape((B,) + shape)
+        normal = np.random.Generator.standard_normal
+        return _complex_noise(sigma2, draw(normal), draw(normal)).reshape((B,) + shape)
 
     bits = np.empty((S, N, L), dtype=np.int64)
     for set_bits, rng in zip(bits, rngs):
@@ -133,9 +141,13 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         cand = enumerate_candidates(constellation, N)
         xc = kappa * cand
         if scheme == "stssc":
-            z = g[:, :, None] * relay_encode(design, q)
-            y = hRD[:, :, None] * z + noise((M, T))
-            idx = stssc_decode_batch(y, hSR, hRD, g, design, xc, rho)
+            w = noise((M, T))       # drawn for the whole call, so each set keeps its order
+            idx = np.empty((B, K), dtype=np.int64)
+            for lo in range(0, B, BLOCK_BUDGET):
+                tile = slice(lo, lo + BLOCK_BUDGET)
+                z = g[tile, :, None] * relay_encode(design, q[tile])
+                y = hRD[tile, :, None] * z + w[tile]
+                idx[tile] = stssc_decode_batch(y, hSR[tile], hRD[tile], g[tile], design, xc, rho)
         else:
             y = (g * hRD)[:, :, None] * q + noise((M, K))
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)

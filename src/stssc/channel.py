@@ -1,6 +1,7 @@
 """Block-fading channel realizations and additive noise."""
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -47,14 +48,22 @@ def _gains(model: str, draw) -> np.ndarray:
     raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
 
 
-def _complex_noise(sigma2: float, draw) -> np.ndarray:
-    """CN(0, sigma2) samples from draw(method), as in _gains; sigma2 > 0."""
-    normal = np.random.Generator.standard_normal
-    return np.sqrt(sigma2 / 2.0) * (draw(normal) + 1j * draw(normal))
+def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """CN(0, sigma2) samples sqrt(sigma2/2) (re + j im) from standard normal variates; sigma2 > 0.
+
+    Each part is scaled straight into the complex result, which gives the
+    values of the complex product without its temporaries (a variate that is
+    exactly zero may keep its sign where the product's zero would not).
+    """
+    w = np.empty(re.shape, dtype=complex)
+    scale = sqrt(sigma2 / 2.0)
+    np.multiply(re, scale, out=w.real)
+    np.multiply(im, scale, out=w.imag)
+    return w
 
 
 def _sampler(rng: np.random.Generator, shape):
-    """draw(method) for _gains and _complex_noise: variates of the given shape from rng."""
+    """draw(method) for _gains: variates of the given shape from rng."""
     return lambda method: method(rng, size=shape)
 
 
@@ -94,7 +103,6 @@ def awgn(length, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """
     if sigma2 < 0:
         raise UsageError("sigma2 must be nonnegative")
-    shape = (length,) if np.isscalar(length) else tuple(length)
     if sigma2 == 0:
-        return np.zeros(shape, dtype=complex)
-    return _complex_noise(sigma2, _sampler(rng, shape))
+        return np.zeros(length, dtype=complex)
+    return _complex_noise(sigma2, rng.standard_normal(length), rng.standard_normal(length))

@@ -8,6 +8,7 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
+from . import batch
 from .batch import blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
 from .decoder import MAX_CANDIDATES
@@ -18,10 +19,6 @@ from .schemes import SCHEMES
 
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
 MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB
-
-# coherence blocks simulated per call of simulate_packet_set: enough sets to
-# spread its fixed per-call costs, few enough to bound its arrays
-_GROUP_BLOCKS = 512
 
 CSV_HEADER = [
     "snr_db", "ber", "per", "throughput_bps", "bits_total", "bit_errors",
@@ -132,15 +129,16 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    set_indices) -> tuple[int, int, int, int]:
     """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots).
 
-    Consecutive sets are simulated in groups of at most _GROUP_BLOCKS blocks
-    (at least one set); each set keeps its own generator, so grouping does
+    Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
+    blocks (at least one set): enough sets to spread simulate_packet_set's
+    fixed per-call costs.  Each set keeps its own generator, so grouping does
     not change the totals.
     """
     design = build_design(cfg.code)
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
-    group = max(1, _GROUP_BLOCKS // blocks_per_set(design, constellation, cfg.packet_bits))
+    group = max(1, batch.BLOCK_BUDGET // blocks_per_set(design, constellation, cfg.packet_bits))
     be = bits = pe = slots = 0
     for start in range(0, len(set_indices), group):
         rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, point_index, i]))

@@ -77,7 +77,7 @@ def test_criterion_02_decoder_oracle_equivalence():
                     ch = draw_channel(fading, n, design.M, rho, rng)
                     block = random_block(c, n, design.K, kappa, rng)
                     tr = stssc_pipeline(block, ch, design, rng)
-                    g = relay_gains(ch)
+                    g = tr.gains
                     stats = matched_filter(tr, ch, design, g)
                     fast = np.column_stack([
                         joint_ml_decode_slot(stats, t, c, kappa, rho, n)

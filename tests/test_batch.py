@@ -1,14 +1,16 @@
 """Cross-checks of the vectorized Monte Carlo engine against the per-block
 reference pipelines and decoders."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from stssc import _kernels
+from stssc import _kernels, batch
 from stssc.batch import (
-    SLOT_RULES, SetResult, relay_matched_filter, simulate_packet_set, stssc_decode_batch,
+    SLOT_RULES, SetResult, blocks_per_set, relay_matched_filter, simulate_packet_set,
+    stssc_decode_batch,
 )
 from stssc.channel import draw_channel
 from stssc.decoder import afost_ml_decode, enumerate_candidates, joint_ml_decode, matched_filter
@@ -126,6 +128,47 @@ def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
                                   for f in fields(SetResult)))
     if sigma2:
         assert len({r.bit_errors for r in singles}) > 1
+
+
+@pytest.mark.parametrize("code, packet_bits", [("alamouti", 3001), ("c34", 5001)])
+@pytest.mark.parametrize("fading", ["unit-mag", "rayleigh"])
+@pytest.mark.parametrize("sigma2", [1.0, 0.0])
+@pytest.mark.parametrize("n_sets", [1, 2])
+def test_stssc_tiles_do_not_change_results(monkeypatch, code, packet_bits, fading, sigma2,
+                                           n_sets):
+    # QPSK sets longer than a 512-block tile: alamouti 3001 bits is 751 blocks,
+    # c34 5001 bits pads to 834; with two sets, tiles straddle the set boundary.
+    # A budget of the whole call is one tile, the untiled chain.
+    d = build_design(code)
+    c = get_constellation("qpsk")
+    n_blocks = n_sets * blocks_per_set(d, c, packet_bits)
+
+    def run(budget):
+        monkeypatch.setattr(batch, "BLOCK_BUDGET", budget)
+        rngs = [np.random.default_rng(s) for s in range(60, 60 + n_sets)]
+        return simulate_packet_set("stssc", d, c, d.M, d.M, 3.0, sigma2, fading, "perslot",
+                                   packet_bits, rngs)
+
+    whole = run(n_blocks)
+    for budget in (1, 7, 512):
+        assert run(budget) == whole
+    assert (whole.bit_errors > 0) == (sigma2 > 0)
+
+
+def test_long_stssc_set_memory_is_bounded():
+    # a 100 000-bit c34 QPSK set is 16 667 blocks; numpy reports its buffers to
+    # tracemalloc, and past the random draws no array spans more than one tile
+    d = build_design("c34")
+    c = get_constellation("qpsk")
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        simulate_packet_set("stssc", d, c, d.M, d.M, 10.0, 1.0, "unit-mag", "perslot",
+                            100_000, [np.random.default_rng(3)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_packet_set_slot_accounting():

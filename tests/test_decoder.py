@@ -41,6 +41,12 @@ def test_extend_conjugate():
     np.testing.assert_allclose(out[:2], out[2:])
 
 
+def stssc_statistics(block, ch, d, rng):
+    """Matched-filter statistics of one stssc block, with the gains its pipeline used."""
+    tr = stssc_pipeline(block, ch, d, rng)
+    return matched_filter(tr, ch, d, tr.gains)
+
+
 def test_matched_filter_rejects_wrong_trace():
     rng = np.random.default_rng(0)
     ch = draw_channel("unit-mag", 2, 2, 1.0, rng)
@@ -59,7 +65,7 @@ def test_matched_filter_single_source_closed_form():
     block = random_block(c, 1, d.K, kappa=1.0, rng=rng)
     ch = make_channel(np.ones((1, 2)), np.ones(2), rho=2.5, sigma2=0.0)
     tr = stssc_pipeline(block, ch, d, rng)
-    g = relay_gains(ch)
+    g = tr.gains
     stats = matched_filter(tr, ch, d, g)
     expected = np.sqrt(ch.rho) * g[0] ** 2 * d.d * block.raw[0]
     np.testing.assert_allclose(stats.u[0], expected, atol=1e-12)
@@ -74,7 +80,7 @@ def test_matched_filter_zero_observation():
     block = random_block(get_constellation("qpsk"), 2, d.K, 1 / np.sqrt(2), rng)
     tr = stssc_pipeline(block, ch, d, rng)
     tr.yRD = np.zeros_like(tr.yRD)
-    stats = matched_filter(tr, ch, d, relay_gains(ch))
+    stats = matched_filter(tr, ch, d, tr.gains)
     np.testing.assert_allclose(stats.u, 0, atol=1e-14)
     assert stats.yNormSq == 0.0
     assert np.all(stats.v > 0)          # v depends only on the channel
@@ -91,13 +97,13 @@ def test_decoupling_other_slot_symbols(name):
     for _ in range(20):
         ch = draw_channel("rayleigh", N, d.M, 1.0, rng, sigma2=0.0)
         block = random_block(c, N, d.K, kappa, rng)
-        base = matched_filter(stssc_pipeline(block, ch, d, rng), ch, d, relay_gains(ch)).u
+        base = stssc_statistics(block, ch, d, rng).u
         pert = random_block(c, N, d.K, kappa, rng)
         for t in range(d.K):
             raw = block.raw.copy()
             raw[:, [s for s in range(d.K) if s != t]] = pert.raw[:, [s for s in range(d.K) if s != t]]
             other = type(block)(X=kappa * raw, raw=raw, kappa=kappa)
-            u2 = matched_filter(stssc_pipeline(other, ch, d, rng), ch, d, relay_gains(ch)).u
+            u2 = stssc_statistics(other, ch, d, rng).u
             np.testing.assert_allclose(u2[:, t], base[:, t], rtol=1e-10, atol=1e-12)
 
 
@@ -182,7 +188,7 @@ def test_slot_metric_constant_shift_invariance():
     rng = np.random.default_rng(5)
     ch = draw_channel("rayleigh", 2, 2, 10.0, rng)
     block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
-    stats = matched_filter(stssc_pipeline(block, ch, d, rng), ch, d, relay_gains(ch))
+    stats = stssc_statistics(block, ch, d, rng)
     shifted = DecoderStatistics(
         u=stats.u.copy(), v=stats.v.copy(), yNormSq=stats.yNormSq + 123.0,
         gram=stats.gram.copy(),
@@ -208,7 +214,7 @@ def test_joint_decode_matches_brute_force(name, fading):
         ch = draw_channel(fading, N, d.M, 10.0 ** (trial % 3), rng)
         block = random_block(c, N, d.K, kappa, rng)
         tr = stssc_pipeline(block, ch, d, rng)
-        g = relay_gains(ch)
+        g = tr.gains
         stats = matched_filter(tr, ch, d, g)
         fast = joint_ml_decode(stats, c, kappa, ch.rho, N)
         oracle = brute_force_oracle(tr, ch, d, g, cand, kappa)
@@ -225,7 +231,7 @@ def test_joint_decode_noiseless_exact(name):
     for _ in range(10):
         ch = draw_channel("unit-mag", N, d.M, 1.0, rng, sigma2=0.0)
         block = random_block(c, N, d.K, kappa, rng)
-        stats = matched_filter(stssc_pipeline(block, ch, d, rng), ch, d, relay_gains(ch))
+        stats = stssc_statistics(block, ch, d, rng)
         decided = joint_ml_decode(stats, c, kappa, ch.rho, N)
         np.testing.assert_allclose(decided, block.raw, atol=1e-12)
 
@@ -236,7 +242,7 @@ def test_joint_decode_slot_matches_full_decode():
     rng = np.random.default_rng(2)
     ch = draw_channel("rayleigh", 2, 2, 10.0, rng)
     block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
-    stats = matched_filter(stssc_pipeline(block, ch, d, rng), ch, d, relay_gains(ch))
+    stats = stssc_statistics(block, ch, d, rng)
     full = joint_ml_decode(stats, c, block.kappa, ch.rho, 2)
     for t in range(d.K):
         np.testing.assert_array_equal(
@@ -252,7 +258,7 @@ def test_single_source_bpsk_reduces_to_sign_rule():
     for _ in range(100):
         ch = draw_channel("rayleigh", 1, 2, 1.0, rng)
         block = random_block(c, 1, d.K, 1.0, rng)
-        stats = matched_filter(stssc_pipeline(block, ch, d, rng), ch, d, relay_gains(ch))
+        stats = stssc_statistics(block, ch, d, rng)
         decided = joint_ml_decode(stats, c, 1.0, ch.rho, 1)
         expected = np.where(stats.u[0].real >= 0, 1.0, -1.0)
         np.testing.assert_allclose(decided[0], expected)
@@ -342,7 +348,7 @@ def test_decode_rejects_wrong_traces():
     block = random_block(c, 2, 2, 1 / np.sqrt(2), rng)
     stssc_tr = stssc_pipeline(block, ch, d, rng)
     with pytest.raises(UsageError):
-        afost_ml_decode(stssc_tr, ch, relay_gains(ch), c, block.kappa, ch.rho)
+        afost_ml_decode(stssc_tr, ch, stssc_tr.gains, c, block.kappa, ch.rho)
     with pytest.raises(UsageError):
         dstc_mrc_ml_decode(stssc_tr, ch, d, c, block.kappa)
     with pytest.raises(UsageError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stssc import cli, harness
+from stssc import batch, cli, harness
 from stssc.channel import FADING_MODELS
 from stssc.designs import DESIGN_NAMES
 from stssc.errors import ConfigurationError
@@ -168,11 +168,12 @@ def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, 
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
 def test_sweep_records_do_not_depend_on_grouping(monkeypatch, scheme):
     # 127-bit QPSK sets are 32 blocks: 40 sets run as groups of 16, 16 and 8,
-    # or one set per call when the block budget is 1
+    # or, when the block budget is 1, one set per call and stssc's chain one
+    # block per tile
     cfg = SimConfig(scheme=scheme, code="alamouti", seed=9, packets=40, packet_bits=127,
                     snr_db_list=(0.0, 10.0))
     grouped = run_sweep(cfg)
-    monkeypatch.setattr(harness, "_GROUP_BLOCKS", 1)
+    monkeypatch.setattr(batch, "BLOCK_BUDGET", 1)
     assert run_sweep(cfg) == grouped
 
 
