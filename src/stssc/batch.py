@@ -13,7 +13,11 @@ Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign
 flips instead of products with the dispersion matrices; they add exact
 zeros and multiply by +-1, so the values are those of the dense products.
-Every column weight is 1, so all K slots share one Gram matrix per block.
+The stssc chain goes further and skips the scatter and the gather
+altogether: each symbol's matched-filter output is formed straight from
+the relay observation and the one forwarding-noise sample its slot
+carries (relay_statistics).  Every column weight is 1, so all K slots
+share one Gram matrix per block.
 
 Bit and packet error counts are reported for the designated destination
 (source index 0); padding bits are excluded.
@@ -82,14 +86,50 @@ def relay_matched_filter(design: OrthogonalDesign, y):
     return P, Q
 
 
-def stssc_decode_batch(y, hSR, hRD, g, design, candidates_scaled, rho):
-    """Decode batched observations y (B,M,T); returns candidate indices (B,K)."""
-    P, Q = relay_matched_filter(design, y)
-    inner = hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q
-    u = np.einsum("br,bsr,brk->bsk", g, hSR.conj(), inner)
-    w = g**2 * np.abs(hRD) ** 2
-    gram = (hSR * w[:, None, :]) @ hSR.conj().transpose(0, 2, 1)   # (B, N, N)
-    return _kernels.joint_argmin(u, gram[:, None], candidates_scaled, sqrt(rho))
+def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
+    """conj(hRD) P + hRD Q of the forwarded codewords g relay_encode(q), without forming them.
+
+    Blocks lie on the last axis: q (M, K, B) relay observations, w (M, T, B)
+    forwarding noise, hRD and g (M, B) -> (M, K, B).  Relay r's matched
+    filter picks sign (hRD g sign q' + w) from slot[r, t], where q' is q or
+    q* as conjugated says; sign is +-1, so that equals hRD g q' + sign w[slot]
+    rounding for rounding.  A conjugated symbol's statistic hRD (...)* is
+    the conjugate of conj(hRD) (...), so one product serves every symbol.
+    """
+    M, K, B = q.shape
+    conj = design.conjugated[:, :, None]
+    gq = g[:, None] * q
+    np.negative(gq.imag, out=gq.imag, where=conj)                            # g q'
+    rows = (np.arange(M)[:, None] * design.T + design.slot).ravel()
+    picked = hRD[:, None] * gq
+    picked += design.sign[:, :, None] * np.take(w.reshape(-1, B), rows, axis=0).reshape(M, K, B)
+    stat = hRD.conj()[:, None] * picked
+    np.negative(stat.imag, out=stat.imag, where=conj)
+    return stat
+
+
+def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2):
+    """Relay-to-decision chain of a tile of stssc blocks; returns candidate indices (B, K).
+
+    X: (B, N, K) scaled source symbols, hSR: (B, N, M), hRD: (B, M),
+    n: (B, M, K) broadcast noise, w: (B, M, T) forwarding noise.  The
+    inputs are copied with the blocks moved to the last axis, so every
+    operation runs along the B blocks rather than along axes of 2 to 4
+    entries, and q, u and the Gram are broadcast sums over the sources or
+    the relays.  The relay codewords and the destination's observations
+    are never formed (see relay_statistics).
+    """
+    X, hSR, hRD, n, w = (np.moveaxis(a, 0, -1).copy() for a in (X, hSR, hRD, n, w))
+    g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=0) + sigma2))         # (M, B)
+    q = sqrt(rho) * np.sum(hSR[:, :, None] * X[:, None], axis=0) + n             # (M, K, B)
+    stat = relay_statistics(design, q, w, hRD, g)
+    hRS = hSR.transpose(1, 0, 2)                                                 # (M, N, B)
+    coef = g[:, None] * hRS.conj()
+    u = np.sum(stat[:, :, None] * coef[:, None], axis=0)                         # (K, N, B)
+    a = hRS * (g**2 * np.abs(hRD) ** 2)[:, None]
+    gram = np.sum(a[:, :, None] * hRS.conj()[:, None], axis=0)                   # (N, N, B)
+    return _kernels.joint_argmin(u.transpose(2, 1, 0), gram.transpose(2, 0, 1)[:, None],
+                                 candidates_scaled, sqrt(rho))
 
 
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
@@ -136,19 +176,19 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     if scheme in ("stssc", "afost"):
         hSR = gains((N, M))
         hRD = gains((M,))
-        g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=1) + sigma2))   # (B, M)
-        q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + noise((M, K))
         cand = enumerate_candidates(constellation, N)
         xc = kappa * cand
         if scheme == "stssc":
+            n = noise((M, K))
             w = noise((M, T))       # drawn for the whole call, so each set keeps its order
             idx = np.empty((B, K), dtype=np.int64)
             for lo in range(0, B, BLOCK_BUDGET):
                 tile = slice(lo, lo + BLOCK_BUDGET)
-                z = g[tile, :, None] * relay_encode(design, q[tile])
-                y = hRD[tile, :, None] * z + w[tile]
-                idx[tile] = stssc_decode_batch(y, hSR[tile], hRD[tile], g[tile], design, xc, rho)
+                idx[tile] = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], n[tile], w[tile],
+                                               design, xc, rho, sigma2)
         else:
+            g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=1) + sigma2))   # (B, M)
+            q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + noise((M, K))
             y = (g * hRD)[:, :, None] * q + noise((M, K))
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)
             idx = _kernels.afost_argmin(y, F, xc)

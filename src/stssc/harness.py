@@ -19,6 +19,7 @@ from .schemes import SCHEMES
 
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
 MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameter numbers (malloc.h)
 
 CSV_HEADER = [
     "snr_db", "ber", "per", "throughput_bps", "bits_total", "bit_errors",
@@ -155,12 +156,39 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     return be, bits, pe, slots
 
 
+def _raise_malloc_thresholds() -> None:
+    """Pool initializer: let a worker keep its freed heap instead of returning it to the kernel.
+
+    By default glibc gives the top of the heap back once the free space
+    there passes its trim threshold, so a worker whose calls each allocate
+    and free a few megabytes of temporaries takes a minor page fault on
+    every page again on the next call.  The trim threshold is raised to
+    256 MiB.  Setting it also stops glibc from raising its mmap threshold
+    as it sees large blocks freed, so that threshold is set too, to the
+    32 MiB where glibc's own adjustment stops on 64-bit systems; otherwise
+    every array over 128 KiB, such as a long packet set's draws, would be
+    mapped and unmapped on each call.
+    Does nothing where the C library is not glibc.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 28)
+
+
 def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     """Simulate each (point_index, snr_db) of a validated config, in order.
 
     With workers > 1 one pool serves every point: each point is cut into
     min(workers, packets) chunks, all chunks are queued up front, and each
-    point's totals are folded in point order.  Totals are integer sums of
+    point's totals are folded in point order; each worker first raises its
+    malloc thresholds (_raise_malloc_thresholds).  Totals are integer sums of
     per-set results seeded by (seed, point, set), so records do not depend
     on the worker count.
     """
@@ -168,7 +196,8 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
         totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
     else:
         chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers, cfg.packets))
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks),
+                                 initializer=_raise_malloc_thresholds) as pool:
             try:
                 futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]
                            for i, snr_db in points]

@@ -33,7 +33,7 @@ from stssc.decoder import (
 from stssc.designs import DESIGN_NAMES, build_design, verify_orthogonality
 from stssc.harness import SimConfig, _binomial_stderr, emit_csv, run_point, run_sweep
 from stssc.modem import get_constellation
-from stssc.schemes import relay_gains, stssc_pipeline
+from stssc.schemes import stssc_pipeline
 
 from conftest import random_block
 
@@ -102,17 +102,15 @@ def test_criterion_03_decoupling():
         for _ in range(100):
             ch = draw_channel("rayleigh", n, design.M, 1.0, rng, sigma2=0.0)
             block = random_block(c, n, design.K, kappa, rng)
-            base = matched_filter(
-                stssc_pipeline(block, ch, design, rng), ch, design, relay_gains(ch)
-            ).u
+            tr = stssc_pipeline(block, ch, design, rng)
+            base = matched_filter(tr, ch, design, tr.gains).u
             pert = random_block(c, n, design.K, kappa, rng)
             for t in range(design.K):
                 raw = pert.raw.copy()
                 raw[:, t] = block.raw[:, t]         # only slot t unchanged
                 other = type(block)(X=kappa * raw, raw=raw, kappa=kappa)
-                u2 = matched_filter(
-                    stssc_pipeline(other, ch, design, rng), ch, design, relay_gains(ch)
-                ).u
+                tr = stssc_pipeline(other, ch, design, rng)
+                u2 = matched_filter(tr, ch, design, tr.gains).u
                 rel = np.max(np.abs(u2[:, t] - base[:, t]) / np.maximum(np.abs(base[:, t]), 1e-300))
                 worst = max(worst, float(rel))
     ok = worst <= 1e-10

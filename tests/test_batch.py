@@ -1,6 +1,7 @@
 """Cross-checks of the vectorized Monte Carlo engine against the per-block
 reference pipelines and decoders."""
 
+import copy
 import tracemalloc
 from dataclasses import fields
 
@@ -9,10 +10,10 @@ import pytest
 
 from stssc import _kernels, batch
 from stssc.batch import (
-    SLOT_RULES, SetResult, blocks_per_set, relay_matched_filter, simulate_packet_set,
-    stssc_decode_batch,
+    SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_matched_filter, relay_statistics,
+    simulate_packet_set, stssc_decode_batch,
 )
-from stssc.channel import draw_channel
+from stssc.channel import awgn, draw_channel
 from stssc.decoder import afost_ml_decode, enumerate_candidates, joint_ml_decode, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import get_constellation
@@ -23,6 +24,8 @@ from conftest import constellation_for, random_block
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_batch_stssc_decisions_match_reference(name):
+    # the batch is fed the reference pipeline's draws: its broadcast noise and
+    # then one relay's forwarding noise at a time, replayed from a copy of rng
     d = build_design(name)
     c = constellation_for(d)
     N = d.M
@@ -33,12 +36,42 @@ def test_batch_stssc_decisions_match_reference(name):
         ch = draw_channel("rayleigh" if trial % 2 else "unit-mag", N, d.M,
                           10.0 ** (trial % 3), rng)
         block = random_block(c, N, d.K, kappa, rng)
+        replay = copy.deepcopy(rng)
         tr = stssc_pipeline(block, ch, d, rng)
-        g = relay_gains(ch)
-        ref = joint_ml_decode(matched_filter(tr, ch, d, g), c, kappa, ch.rho, N)
-        idx = stssc_decode_batch(tr.yRD[None], ch.hSR[None], ch.hRD[None], g[None],
-                                 d, kappa * cand, ch.rho)
+        n = awgn((d.M, d.K), ch.sigma2, replay)
+        w = np.array([awgn(d.T, ch.sigma2, replay) for _ in range(d.M)])
+        assert replay.bit_generator.state == rng.bit_generator.state
+        np.testing.assert_allclose(np.sqrt(ch.rho) * ch.hSR.T @ block.X + n, tr.qR)
+        ref = joint_ml_decode(matched_filter(tr, ch, d, tr.gains), c, kappa, ch.rho, N)
+        idx = stssc_decode_batch(block.X[None], ch.hSR[None], ch.hRD[None], n[None], w[None],
+                                 d, kappa * cand, ch.rho, ch.sigma2)
         np.testing.assert_array_equal(cand[idx[0]].T, ref)
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+def test_relay_statistics_equal_encode_forward_matched_filter(name):
+    # the fused statistics skip the relay codewords and the destination's
+    # observations, yet equal the encode -> forward -> matched filter chain bit
+    # for bit: float64 views compared, sign bits too (assert_array_equal
+    # takes -0.0 for 0.0)
+    d = build_design(name)
+    rng = np.random.default_rng(31)
+    B = 4000
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def blocks_last(a):
+        return np.moveaxis(a, 0, -1).copy()
+
+    q, w, hRD, g = cn(B, d.M, d.K), cn(B, d.M, d.T), cn(B, d.M), rng.random((B, d.M))
+    y = hRD[:, :, None] * (g[:, :, None] * relay_encode(d, q)) + w
+    P, Q = relay_matched_filter(d, y)
+    ref = (hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q).view(np.float64)
+    fused = relay_statistics(d, blocks_last(q), blocks_last(w), blocks_last(hRD), blocks_last(g))
+    got = np.moveaxis(fused, -1, 0).copy().view(np.float64)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)

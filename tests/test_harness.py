@@ -1,8 +1,10 @@
+import ctypes
 import multiprocessing
 import os
 import tempfile
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -114,6 +116,7 @@ def test_sweep_opens_one_pool(monkeypatch):
 
     def counting_pool(*args, **kwargs):
         starts.append(1)
+        assert kwargs["initializer"] is harness._raise_malloc_thresholds
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
@@ -123,6 +126,28 @@ def test_sweep_opens_one_pool(monkeypatch):
     assert len(starts) == 1
     run_sweep(replace(cfg, workers=1))
     assert len(starts) == 1
+
+
+def test_malloc_initializer_sets_glibc_options(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    harness._raise_malloc_thresholds()
+    assert calls == [(-3, 32 << 20), (-1, 1 << 28)]      # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def test_malloc_initializer_is_quiet_without_glibc(monkeypatch):
+    def missing(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    assert harness._raise_malloc_thresholds() is None
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())     # a C library without mallopt
+    assert harness._raise_malloc_thresholds() is None
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
