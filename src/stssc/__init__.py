@@ -1,7 +1,7 @@
 """Link-level simulator for distributed space-time coding of superimposed relay signals."""
 
 from .channel import ChannelRealization, awgn, draw_channel
-from .designs import OrthogonalDesign, build_design, codeword, relay_columns, verify_orthogonality
+from .designs import OrthogonalDesign, build_design, codeword, verify_orthogonality
 from .errors import ConfigurationError, ConsistencyError, UsageError
 from .harness import SimConfig, SimRecord, run_point, run_sweep
 from .modem import Constellation, Packet, SourceBlock, frame_packets, get_constellation
@@ -12,6 +12,6 @@ __all__ = [
     "ChannelRealization", "ConfigurationError", "ConsistencyError", "Constellation",
     "OrthogonalDesign", "Packet", "SimConfig", "SimRecord", "SourceBlock", "UsageError",
     "awgn", "build_design", "codeword", "draw_channel", "frame_packets",
-    "get_constellation", "relay_columns", "run_point", "run_sweep",
+    "get_constellation", "run_point", "run_sweep",
     "verify_orthogonality",
 ]

@@ -5,9 +5,11 @@ blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
 own generator, and runs the arithmetic once on all their blocks stacked
 as batched numpy arrays, with the candidate search delegated to the
-kernels in stssc._kernels.  The per-block reference pipelines in
-stssc.schemes / stssc.decoder implement the same math and are used to
-cross-check this path in the test suite.
+kernels in stssc._kernels.  This is the only implementation of the
+afost, dstc and direct baselines; the test suite checks them against
+dense per-block references replayed from the same random stream, and
+checks stssc against the per-block reference chain in stssc.schemes /
+stssc.decoder.
 
 Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign
@@ -46,6 +48,7 @@ SLOT_RULES = {
     "dstc": lambda N, M, K, T: N * (K + T),
     "direct": lambda N, M, K, T: N * K,
 }
+SCHEMES = tuple(SLOT_RULES)
 
 
 @dataclass

@@ -12,9 +12,12 @@ import argparse
 import dataclasses
 import sys
 
+from .batch import SCHEMES
+from .channel import FADING_MODELS
 from .designs import DESIGN_NAMES, build_design, format_design
 from .errors import ConfigurationError
 from .harness import SimConfig, emit_csv, compare_runs, run_sweep
+from .modem import CONSTELLATION_NAMES, KAPPA_MODES
 
 
 def _parse_snr(text: str) -> tuple:
@@ -78,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a Monte Carlo SNR sweep")
-    run.add_argument("--scheme", choices=("stssc", "afost", "dstc", "direct"))
+    run.add_argument("--scheme", choices=SCHEMES)
     run.add_argument("--code", choices=DESIGN_NAMES)
     run.add_argument("--sources", type=int)
     run.add_argument("--relays", type=int)
-    run.add_argument("--mod", choices=("bpsk", "qpsk"))
-    run.add_argument("--fading", choices=("unit-mag", "rayleigh"))
-    run.add_argument("--normalization", choices=("perslot", "paper"))
+    run.add_argument("--mod", choices=CONSTELLATION_NAMES)
+    run.add_argument("--fading", choices=FADING_MODELS)
+    run.add_argument("--normalization", choices=KAPPA_MODES)
     run.add_argument("--snr", help="a:step:b or comma list of dB values")
     run.add_argument("--packets", type=int)
     run.add_argument("--packet-bits", type=int, dest="packet_bits")

@@ -84,10 +84,6 @@ class OrthogonalDesign:
         """Per-(symbol, relay) dispersion energy ||a_{t,r}||^2 + ||b_{t,r}||^2, shape (K, M)."""
         return self._column_weights
 
-    def slot_weights(self) -> np.ndarray:
-        """Per-(slot, relay) transmit energy share sum_t |A[t,tau,r]|^2 + |B[t,tau,r]|^2, shape (T, M)."""
-        return (np.sum(np.abs(self.A) ** 2, axis=0) + np.sum(np.abs(self.B) ** 2, axis=0)).real
-
 
 def _alamouti() -> OrthogonalDesign:
     T, M, K = 2, 2, 2
@@ -196,17 +192,6 @@ def codeword(design: OrthogonalDesign, x) -> np.ndarray:
     if design.real_only and np.any(np.abs(x.imag) > 0):
         raise UsageError(f"design {design.name!r} is valid for real symbols only")
     return np.tensordot(x, design.A, axes=(0, 0)) + np.tensordot(x.conj(), design.B, axes=(0, 0))
-
-
-def relay_columns(design: OrthogonalDesign, r: int):
-    """Dispersion columns for relay r (1-based): (a, b), each shaped (K, T).
-
-    a[t] is column r of A_t and b[t] is column r of B_t; relay r transmits
-    g_r * sum_t (a[t] q[t] + b[t] q[t]*) during its forwarding phase.
-    """
-    if not 1 <= r <= design.M:
-        raise UsageError(f"relay index {r} out of range 1..{design.M}")
-    return design.A[:, :, r - 1].copy(), design.B[:, :, r - 1].copy()
 
 
 def verify_orthogonality(design: OrthogonalDesign, trials: int, seed: int,

@@ -9,13 +9,12 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from . import batch
-from .batch import blocks_per_set, simulate_packet_set
+from .batch import SCHEMES, blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
 from .decoder import MAX_CANDIDATES
 from .designs import build_design
 from .errors import ConfigurationError
 from .modem import KAPPA_MODES, check_compatible, get_constellation
-from .schemes import SCHEMES
 
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
 MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB

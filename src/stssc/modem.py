@@ -153,14 +153,6 @@ def _pad_bits(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     return np.concatenate([bits, pad], axis=-1)
 
 
-def recover_bits(c: Constellation, decided_blocks, L: int) -> np.ndarray:
-    """Undo framing for one source: hard-demap decided symbols and drop padding."""
-    syms = np.concatenate([np.asarray(b, dtype=complex).ravel() for b in decided_blocks])
-    n_syms = ceil(L / c.bits_per_symbol)
-    bits = demap_hard(c, syms[:n_syms])
-    return bits[:L]
-
-
 def check_compatible(c: Constellation, design_real_only: bool) -> None:
     """Real-only designs must be paired with real constellations."""
     if design_real_only and not c.real_only:

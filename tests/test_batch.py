@@ -1,25 +1,27 @@
-"""Cross-checks of the vectorized Monte Carlo engine against the per-block
-reference pipelines and decoders."""
+"""Cross-checks of the vectorized Monte Carlo engine: stssc against the
+per-block reference chain, the baselines against dense per-block references
+written here."""
 
 import copy
 import tracemalloc
 from dataclasses import fields
+from math import ceil, sqrt
 
 import numpy as np
 import pytest
 
-from stssc import _kernels, batch
+from stssc import batch
 from stssc.batch import (
     SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_matched_filter, relay_statistics,
     simulate_packet_set, stssc_decode_batch,
 )
-from stssc.channel import awgn, draw_channel
-from stssc.decoder import afost_ml_decode, enumerate_candidates, joint_ml_decode, matched_filter
+from stssc.channel import _gains, _sampler, awgn, draw_channel
+from stssc.decoder import enumerate_candidates, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
-from stssc.modem import get_constellation
-from stssc.schemes import af_ost_pipeline, relay_gains, stssc_pipeline
+from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
+from stssc.schemes import stssc_pipeline
 
-from conftest import constellation_for, random_block
+from conftest import constellation_for, joint_decode, random_block
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
@@ -42,7 +44,7 @@ def test_batch_stssc_decisions_match_reference(name):
         w = np.array([awgn(d.T, ch.sigma2, replay) for _ in range(d.M)])
         assert replay.bit_generator.state == rng.bit_generator.state
         np.testing.assert_allclose(np.sqrt(ch.rho) * ch.hSR.T @ block.X + n, tr.qR)
-        ref = joint_ml_decode(matched_filter(tr, ch, d, tr.gains), c, kappa, ch.rho, N)
+        ref = joint_decode(matched_filter(tr, ch, d, tr.gains), c, kappa, ch.rho, N)
         idx = stssc_decode_batch(block.X[None], ch.hSR[None], ch.hRD[None], n[None], w[None],
                                  d, kappa * cand, ch.rho, ch.sigma2)
         np.testing.assert_array_equal(cand[idx[0]].T, ref)
@@ -90,21 +92,81 @@ def test_relay_matched_filter_equals_dispersion_products(name):
     np.testing.assert_array_equal(Q, np.einsum("ktr,bt->brk", d.B, y1.conj()))
 
 
-def test_batch_afost_decisions_match_reference():
-    d = build_design("alamouti")
-    c = get_constellation("qpsk")
-    kappa = 1 / np.sqrt(2)
-    rng = np.random.default_rng(29)
-    cand = enumerate_candidates(c, 2)
-    for trial in range(30):
-        ch = draw_channel("rayleigh", 2, 2, 10.0, rng)
-        block = random_block(c, 2, d.K, kappa, rng)
-        tr = af_ost_pipeline(block, ch, rng)
-        g = relay_gains(ch)
-        ref = afost_ml_decode(tr, ch, g, c, kappa, ch.rho)
-        F = np.sqrt(ch.rho) * (g * ch.hRD)[:, None] * ch.hSR.T
-        idx = _kernels.afost_argmin(tr.yRD[None], F[None], kappa * cand)
-        np.testing.assert_array_equal(cand[idx[0]].T, ref)
+def replayed_bit_errors(scheme, d, c, rho, fading, L, seed):
+    """Destination 0's bit errors in one baseline packet set, decided block by block.
+
+    The variates are redrawn from a fresh generator with the packet set's
+    seed, in simulate_packet_set's order (bits, gains, first noise, second
+    noise, each over all blocks), and every block runs through the dense
+    dispersion products of the per-block pipelines and decoders, with unit
+    noise variance and N = M = d.M.
+    """
+    N = M = d.M
+    K, T = d.K, d.T
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(N, L))
+    blocks = frame_packets([Packet(bits=b, source=s) for s, b in enumerate(bits)], c, K)
+    n_blocks, kappa = len(blocks), blocks[0].kappa
+
+    def gains(*shape):
+        return _gains(fading, _sampler(rng, (n_blocks,) + shape))
+
+    def noise(*shape):
+        return awgn((n_blocks,) + shape, 1.0, rng)
+
+    decided = np.empty((n_blocks, K), dtype=complex)
+    if scheme == "afost":
+        # each relay forwards g_r q_r in its own phase; joint search over sources per slot
+        hSR, hRD = gains(N, M), gains(M)
+        n, w = noise(M, K), noise(M, K)
+        cand = enumerate_candidates(c, N)
+        for b, block in enumerate(blocks):
+            g = np.sqrt(rho / (rho * np.sum(np.abs(hSR[b]) ** 2, axis=0) + 1.0))
+            q = sqrt(rho) * (hSR[b].T @ block.X) + n[b]
+            y = hRD[b][:, None] * (g[:, None] * q) + w[b]
+            F = sqrt(rho) * (g * hRD[b])[:, None] * hSR[b].T               # (M, N)
+            model = F @ (kappa * cand).T                                   # (M, C)
+            for t in range(K):
+                metrics = np.sum(np.abs(y[:, t][:, None] - model) ** 2, axis=0)
+                decided[b, t] = cand[np.argmin(metrics), 0]
+    elif scheme == "dstc":
+        # source 0's phase: relays decide each symbol, then send the code's columns at once
+        hSR0, hRD = gains(M), gains(M)
+        n, w = noise(M, K), noise(T)
+        scale = sqrt(rho / M) * kappa
+        weights = (np.abs(d.A) ** 2).sum(1) + (np.abs(d.B) ** 2).sum(1)   # (K, M)
+        for b, block in enumerate(blocks):
+            q = sqrt(rho) * hSR0[b][:, None] * block.X[0][None, :] + n[b]
+            rd = nearest_points(c, q / (sqrt(rho) * kappa * hSR0[b][:, None]))
+            cols = np.einsum("ktr,rk->rt", d.A, rd) + np.einsum("ktr,rk->rt", d.B, rd.conj())
+            y = scale * (hRD[b] @ cols) + w[b]
+            heff = scale * hRD[b]
+            P = np.einsum("ktr,t->rk", d.A.conj(), y)
+            Q = np.einsum("ktr,t->rk", d.B, y.conj())
+            z = heff.conj() @ P + heff @ Q
+            decided[b] = nearest_points(c, z / (weights @ np.abs(heff) ** 2))
+    else:
+        hSD0 = gains()
+        w = noise(K)
+        for b, block in enumerate(blocks):
+            y = sqrt(rho) * hSD0[b] * block.X[0] + w[b]
+            decided[b] = nearest_points(c, y / (sqrt(rho) * hSD0[b] * kappa))
+    rx = demap_hard(c, decided.ravel()[:ceil(L / c.bits_per_symbol)])[:L]
+    return int(np.count_nonzero(rx != bits[0]))
+
+
+@pytest.mark.parametrize("scheme", ["afost", "dstc", "direct"])
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+@pytest.mark.parametrize("fading", ["unit-mag", "rayleigh"])
+def test_batch_baselines_match_replayed_reference(scheme, name, fading):
+    # 5 dB, so every case has errors to count
+    d = build_design(name)
+    c = constellation_for(d)
+    rho, L, seed = 10.0 ** 0.5, 1001, 7
+    res = simulate_packet_set(scheme, d, c, d.M, d.M, rho, 1.0, fading, "perslot", L,
+                              [np.random.default_rng(seed)])
+    assert res.bit_errors == replayed_bit_errors(scheme, d, c, rho, fading, L, seed)
+    assert res.bit_errors > 0
 
 
 def test_slot_rules():

@@ -1,9 +1,23 @@
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stssc.cli import _parse_snr, _read_config_file, main
+from stssc.batch import SCHEMES
+from stssc.channel import FADING_MODELS
+from stssc.cli import _parse_snr, _read_config_file, build_parser, main
+from stssc.designs import DESIGN_NAMES
 from stssc.errors import ConfigurationError
 from stssc.harness import read_csv
+from stssc.modem import CONSTELLATION_NAMES, KAPPA_MODES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_parse_snr_range_and_list():
@@ -94,3 +108,84 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", "--scheme", "direct", "--code", "alamouti", "--snr", "0",
                  "--packets", "5", "--packet-bits", "10", "--seed", "1",
                  "-o", str(tmp_path / "missing" / "x.csv")]) == 2
+
+
+def test_run_choices_are_the_library_name_lists():
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    choices = {action.dest: action.choices for action in run._actions if action.choices}
+    assert choices == {"scheme": SCHEMES, "code": DESIGN_NAMES, "mod": CONSTELLATION_NAMES,
+                       "fading": FADING_MODELS, "normalization": KAPPA_MODES}
+
+
+def _children(pid):
+    """Pids of the children of every thread of pid, read from /proc."""
+    pids = set()
+    try:
+        for task in Path(f"/proc/{pid}/task").iterdir():
+            pids.update(int(p) for p in (task / "children").read_text().split())
+    except FileNotFoundError:           # the process or one of its threads just ended
+        pass
+    return pids
+
+
+def _state_and_start(pid):
+    """(state, start time) of a process from /proc/<pid>/stat, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return None
+    fields = text[text.rindex(")") + 2:].split()
+    return fields[0], fields[19]
+
+
+def _still_running(workers):
+    """The pids in workers ({pid: start time}) that are neither gone nor zombies.
+
+    A pid with another start time belongs to a later process.
+    """
+    alive = []
+    for pid, start in workers.items():
+        stat = _state_and_start(pid)
+        if stat is not None and stat[0] != "Z" and stat[1] == start:
+            alive.append(pid)
+    return alive
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_sigint_stops_sweep_and_its_workers(tmp_path):
+    # a real SIGINT, sent to the CLI process only, while its pool works through
+    # 10 001 points of two one-set tasks each
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    # stderr goes to a file: a pipe would stay open as long as an orphaned worker runs
+    err = tempfile.TemporaryFile()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stssc.cli", "run", "--snr", "0:0.01:100", "--packets", "2",
+         "--workers", "2", "-o", str(tmp_path / "out.csv")],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=err,
+    )
+    workers = {}
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2:
+            assert proc.poll() is None, "the sweep ended before both workers were seen"
+            assert time.monotonic() < deadline, "the workers did not start"
+            for pid in _children(proc.pid):
+                stat = _state_and_start(pid)
+                if stat is not None:
+                    workers.setdefault(pid, stat[1])
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        proc.wait(timeout=60)
+        err.seek(0)
+        assert b"KeyboardInterrupt" in err.read()
+        assert proc.returncode != 0
+        assert list(tmp_path.iterdir()) == []           # no CSV and no .tmp
+        assert _still_running(workers) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in _still_running(workers):
+            os.kill(pid, signal.SIGKILL)
+        err.close()

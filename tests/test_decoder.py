@@ -2,43 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import constellation_for, make_channel, random_block
+from conftest import constellation_for, joint_decode, make_channel, random_block
 
 from stssc import decoder
 from stssc.batch import simulate_packet_set
 from stssc.channel import draw_channel
 from stssc.decoder import (
     DecoderStatistics,
-    afost_ml_decode,
     brute_force_oracle,
-    direct_ml_decode,
-    dstc_mrc_ml_decode,
     enumerate_candidates,
-    extend_conjugate,
-    joint_ml_decode,
-    joint_ml_decode_slot,
     matched_filter,
-    per_symbol_metric,
     slot_metrics,
 )
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.errors import ConfigurationError, UsageError
 from stssc.modem import Constellation, get_constellation
-from stssc.schemes import (
-    af_ost_pipeline,
-    direct_pipeline,
-    dstc_pipeline,
-    relay_gains,
-    stssc_pipeline,
-)
-
-
-def test_extend_conjugate():
-    np.testing.assert_allclose(extend_conjugate([1 + 1j, 2]), [1 + 1j, 2, 1 - 1j, 2])
-    np.testing.assert_allclose(extend_conjugate(np.zeros(3)), np.zeros(6))
-    real = np.array([0.5, -2.0])
-    out = extend_conjugate(real)
-    np.testing.assert_allclose(out[:2], out[2:])
+from stssc.schemes import TransmissionTrace, relay_gains, stssc_pipeline
 
 
 def stssc_statistics(block, ch, d, rng):
@@ -47,13 +26,16 @@ def stssc_statistics(block, ch, d, rng):
     return matched_filter(tr, ch, d, tr.gains)
 
 
+def afost_trace(M):
+    """A trace of the wrong scheme for the stssc-only decoders."""
+    return TransmissionTrace(scheme="afost", slots_used=0, yRD=np.ones((M, 2), dtype=complex))
+
+
 def test_matched_filter_rejects_wrong_trace():
     rng = np.random.default_rng(0)
     ch = draw_channel("unit-mag", 2, 2, 1.0, rng)
-    block = random_block(get_constellation("qpsk"), 2, 2, 1 / np.sqrt(2), rng)
-    tr = af_ost_pipeline(block, ch, rng)
     with pytest.raises(UsageError):
-        matched_filter(tr, ch, build_design("alamouti"), relay_gains(ch))
+        matched_filter(afost_trace(ch.M), ch, build_design("alamouti"), relay_gains(ch))
 
 
 def test_matched_filter_single_source_closed_form():
@@ -69,8 +51,8 @@ def test_matched_filter_single_source_closed_form():
     stats = matched_filter(tr, ch, d, g)
     expected = np.sqrt(ch.rho) * g[0] ** 2 * d.d * block.raw[0]
     np.testing.assert_allclose(stats.u[0], expected, atol=1e-12)
-    # v[s,t] = sum_r g^2 d_t |h_sr|^2 T |h_rd|^2
-    np.testing.assert_allclose(stats.v[0], g[0] ** 2 * d.d * d.T * 2, atol=1e-12)
+    # gram = sum_r g_r^2 |h_rd|^2 |h_sr|^2, over two equal relays
+    np.testing.assert_allclose(stats.gram, [[2 * g[0] ** 2]], atol=1e-12)
 
 
 def test_matched_filter_zero_observation():
@@ -83,7 +65,7 @@ def test_matched_filter_zero_observation():
     stats = matched_filter(tr, ch, d, tr.gains)
     np.testing.assert_allclose(stats.u, 0, atol=1e-14)
     assert stats.yNormSq == 0.0
-    assert np.all(stats.v > 0)          # v depends only on the channel
+    assert np.all(np.diag(stats.gram).real > 0)     # the Gram depends only on the channel
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
@@ -105,19 +87,6 @@ def test_decoupling_other_slot_symbols(name):
             other = type(block)(X=kappa * raw, raw=raw, kappa=kappa)
             u2 = stssc_statistics(other, ch, d, rng).u
             np.testing.assert_allclose(u2[:, t], base[:, t], rtol=1e-10, atol=1e-12)
-
-
-def test_per_symbol_metric_values():
-    stats = DecoderStatistics(
-        u=np.array([[1.0 + 0j]]), v=np.array([[1.0]]), yNormSq=0.0,
-        gram=np.ones((1, 1, 1), dtype=complex),
-    )
-    assert per_symbol_metric(stats, 0, 0, 1.0, rho=1.0) == pytest.approx(-1.0)
-    assert per_symbol_metric(stats, 0, 0, 0.0, rho=1.0) == pytest.approx(0.0)
-    # doubling rho: e = yNormSq - 2 sqrt(2) Re(u x*) + 2 v |x|^2
-    assert per_symbol_metric(stats, 0, 0, 1.0, rho=2.0) == pytest.approx(
-        -2 * np.sqrt(2) + 2
-    )
 
 
 def test_enumerate_candidates_order_and_limit():
@@ -189,10 +158,8 @@ def test_slot_metric_constant_shift_invariance():
     ch = draw_channel("rayleigh", 2, 2, 10.0, rng)
     block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
     stats = stssc_statistics(block, ch, d, rng)
-    shifted = DecoderStatistics(
-        u=stats.u.copy(), v=stats.v.copy(), yNormSq=stats.yNormSq + 123.0,
-        gram=stats.gram.copy(),
-    )
+    shifted = DecoderStatistics(u=stats.u.copy(), yNormSq=stats.yNormSq + 123.0,
+                                gram=stats.gram.copy())
     cand = enumerate_candidates(c, 2)
     for t in range(d.K):
         m0 = slot_metrics(stats, t, cand, block.kappa, ch.rho)
@@ -216,7 +183,7 @@ def test_joint_decode_matches_brute_force(name, fading):
         tr = stssc_pipeline(block, ch, d, rng)
         g = tr.gains
         stats = matched_filter(tr, ch, d, g)
-        fast = joint_ml_decode(stats, c, kappa, ch.rho, N)
+        fast = joint_decode(stats, c, kappa, ch.rho, N)
         oracle = brute_force_oracle(tr, ch, d, g, cand, kappa)
         np.testing.assert_array_equal(fast, oracle)
 
@@ -232,22 +199,8 @@ def test_joint_decode_noiseless_exact(name):
         ch = draw_channel("unit-mag", N, d.M, 1.0, rng, sigma2=0.0)
         block = random_block(c, N, d.K, kappa, rng)
         stats = stssc_statistics(block, ch, d, rng)
-        decided = joint_ml_decode(stats, c, kappa, ch.rho, N)
+        decided = joint_decode(stats, c, kappa, ch.rho, N)
         np.testing.assert_allclose(decided, block.raw, atol=1e-12)
-
-
-def test_joint_decode_slot_matches_full_decode():
-    d = build_design("alamouti")
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(2)
-    ch = draw_channel("rayleigh", 2, 2, 10.0, rng)
-    block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
-    stats = stssc_statistics(block, ch, d, rng)
-    full = joint_ml_decode(stats, c, block.kappa, ch.rho, 2)
-    for t in range(d.K):
-        np.testing.assert_array_equal(
-            joint_ml_decode_slot(stats, t, c, block.kappa, ch.rho, 2), full[:, t]
-        )
 
 
 def test_single_source_bpsk_reduces_to_sign_rule():
@@ -259,85 +212,9 @@ def test_single_source_bpsk_reduces_to_sign_rule():
         ch = draw_channel("rayleigh", 1, 2, 1.0, rng)
         block = random_block(c, 1, d.K, 1.0, rng)
         stats = stssc_statistics(block, ch, d, rng)
-        decided = joint_ml_decode(stats, c, 1.0, ch.rho, 1)
+        decided = joint_decode(stats, c, 1.0, ch.rho, 1)
         expected = np.where(stats.u[0].real >= 0, 1.0, -1.0)
         np.testing.assert_allclose(decided[0], expected)
-
-
-def test_afost_decode_matches_independent_reimplementation():
-    # re-derived decoder: whiten nothing, just rebuild y_r = sqrt(rho) g_r h_rd
-    # (sum_s h_sr x_s) per candidate with a fresh loop-based implementation
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(41)
-    cand = enumerate_candidates(c, 2)
-    for trial in range(200):
-        ch = draw_channel("rayleigh" if trial % 2 else "unit-mag", 2, 2, 10.0, rng)
-        block = random_block(c, 2, 2, 1 / np.sqrt(2), rng)
-        tr = af_ost_pipeline(block, ch, rng)
-        g = relay_gains(ch)
-        fast = afost_ml_decode(tr, ch, g, c, block.kappa, ch.rho)
-        for t in range(2):
-            best, best_m = None, np.inf
-            for x in cand:
-                m = 0.0
-                for r in range(2):
-                    pred = np.sqrt(ch.rho) * g[r] * ch.hRD[r] * np.dot(ch.hSR[:, r], block.kappa * x)
-                    m += abs(tr.yRD[r, t] - pred) ** 2
-                if m < best_m:
-                    best, best_m = x, m
-            np.testing.assert_array_equal(fast[:, t], best)
-
-
-def test_afost_noiseless_exact():
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(43)
-    ch = draw_channel("unit-mag", 2, 2, 1.0, rng, sigma2=0.0)
-    block = random_block(c, 2, 2, 1 / np.sqrt(2), rng)
-    tr = af_ost_pipeline(block, ch, rng)
-    decided = afost_ml_decode(tr, ch, relay_gains(ch), c, block.kappa, ch.rho)
-    np.testing.assert_allclose(decided, block.raw, atol=1e-12)
-
-
-def test_dstc_decode_noiseless_and_hand_combiner():
-    d = build_design("alamouti")
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(47)
-    ch = draw_channel("rayleigh", 2, 2, 10.0, rng, sigma2=0.0)
-    block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
-    tr = dstc_pipeline(block, ch, d, c, rng)
-    decided = dstc_mrc_ml_decode(tr, ch, d, c, block.kappa)
-    np.testing.assert_allclose(decided, block.raw, atol=1e-12)
-    # hand-built Alamouti combiner for source 0: (h1* y1 + h2 y2*) / (|h1|^2+|h2|^2)
-    h = np.sqrt(ch.rho / 2) * block.kappa * ch.hRD
-    y = tr.yDSTC[0]
-    est1 = (np.conj(h[0]) * y[0] + h[1] * np.conj(y[1])) / np.sum(np.abs(h) ** 2)
-    est2 = (np.conj(h[1]) * y[0] - h[0] * np.conj(y[1])) / np.sum(np.abs(h) ** 2)
-    np.testing.assert_allclose([est1, est2], block.raw[0], atol=1e-10)
-
-
-def test_dstc_all_relays_wrong_decodes_wrong():
-    d = build_design("alamouti")
-    c = get_constellation("bpsk")
-    rng = np.random.default_rng(53)
-    ch = draw_channel("unit-mag", 2, 2, 1.0, rng, sigma2=0.0)
-    block = random_block(c, 2, d.K, 1 / np.sqrt(2), rng)
-    tr = dstc_pipeline(block, ch, d, c, rng)
-    tr.yDSTC = -tr.yDSTC            # equivalent to every relay flipping every BPSK symbol
-    decided = dstc_mrc_ml_decode(tr, ch, d, c, block.kappa)
-    np.testing.assert_allclose(decided, -block.raw, atol=1e-12)
-
-
-def test_direct_decode_rules():
-    c = get_constellation("bpsk")
-    assert direct_ml_decode([-0.1], 1.0, c, 1.0, 1.0)[0] == -1.0
-    assert direct_ml_decode([0.1], 1.0, c, 1.0, 1.0)[0] == 1.0
-    # phase channel fully compensated
-    qpsk = get_constellation("qpsk")
-    x = qpsk.points[[0, 3, 2]]
-    y = np.sqrt(2.0) * 1j * x
-    np.testing.assert_allclose(direct_ml_decode(y, 1j, qpsk, 2.0, 1.0), x, atol=1e-12)
-    # h = 0: every candidate ties, first point wins
-    np.testing.assert_allclose(direct_ml_decode([5.0, -5.0], 0.0, c, 1.0, 1.0), [1.0, 1.0])
 
 
 def test_decode_rejects_wrong_traces():
@@ -345,12 +222,6 @@ def test_decode_rejects_wrong_traces():
     d = build_design("alamouti")
     c = get_constellation("qpsk")
     ch = draw_channel("unit-mag", 2, 2, 1.0, rng)
-    block = random_block(c, 2, 2, 1 / np.sqrt(2), rng)
-    stssc_tr = stssc_pipeline(block, ch, d, rng)
     with pytest.raises(UsageError):
-        afost_ml_decode(stssc_tr, ch, stssc_tr.gains, c, block.kappa, ch.rho)
-    with pytest.raises(UsageError):
-        dstc_mrc_ml_decode(stssc_tr, ch, d, c, block.kappa)
-    with pytest.raises(UsageError):
-        brute_force_oracle(af_ost_pipeline(block, ch, rng), ch, d, relay_gains(ch),
-                           enumerate_candidates(c, 2), block.kappa)
+        brute_force_oracle(afost_trace(ch.M), ch, d, relay_gains(ch),
+                           enumerate_candidates(c, 2), 1 / np.sqrt(2))

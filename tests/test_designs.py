@@ -8,7 +8,6 @@ from stssc.designs import (
     build_design,
     codeword,
     format_design,
-    relay_columns,
     verify_orthogonality,
 )
 from stssc.errors import ConfigurationError, UsageError
@@ -75,25 +74,20 @@ def test_codeword_rejects_bad_inputs():
 
 
 def test_relay_columns_alamouti():
+    # relay r's dispersion columns, (K, T) each: a[t] is column r of A_t
     d = build_design("alamouti")
-    a, b = relay_columns(d, 1)
-    np.testing.assert_allclose(a, [[1, 0], [0, 0]])
-    np.testing.assert_allclose(b, [[0, 0], [0, -1]])
-    a, b = relay_columns(d, 2)
-    np.testing.assert_allclose(a, [[0, 0], [1, 0]])
-    np.testing.assert_allclose(b, [[0, 1], [0, 0]])
-    with pytest.raises(UsageError):
-        relay_columns(d, 0)
-    with pytest.raises(UsageError):
-        relay_columns(d, 3)
+    np.testing.assert_allclose(d.A[:, :, 0], [[1, 0], [0, 0]])
+    np.testing.assert_allclose(d.B[:, :, 0], [[0, 0], [0, -1]])
+    np.testing.assert_allclose(d.A[:, :, 1], [[0, 0], [1, 0]])
+    np.testing.assert_allclose(d.B[:, :, 1], [[0, 1], [0, 0]])
 
 
 def test_c34_column_energy_balanced():
     # every relay's dispersion columns carry the same total energy
     d = build_design("c34")
     energies = [
-        sum(np.sum(np.abs(v) ** 2) for v in relay_columns(d, r))
-        for r in range(1, d.M + 1)
+        np.sum(np.abs(d.A[:, :, r]) ** 2) + np.sum(np.abs(d.B[:, :, r]) ** 2)
+        for r in range(d.M)
     ]
     np.testing.assert_allclose(energies, energies[0])
 
@@ -117,15 +111,12 @@ def test_symbol_energy_traces():
     np.testing.assert_allclose(build_design("c44").d, [4, 4, 4, 4])
 
 
-def test_column_and_slot_weights():
+def test_column_weights():
     for name in DESIGN_NAMES:
         d = build_design(name)
         c = d.column_weights()
         assert c.shape == (d.K, d.M)
         np.testing.assert_allclose(c.sum(axis=1), d.d)
-        s = d.slot_weights()
-        assert s.shape == (d.T, d.M)
-        np.testing.assert_allclose(s.sum(), d.d.sum())
 
 
 def test_design_arrays_immutable():

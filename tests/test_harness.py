@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stssc import batch, cli, harness
+from stssc.batch import SCHEMES
 from stssc.channel import FADING_MODELS
 from stssc.designs import DESIGN_NAMES
 from stssc.errors import ConfigurationError
@@ -28,7 +29,6 @@ from stssc.harness import (
     validate,
 )
 from stssc.modem import CONSTELLATION_NAMES, KAPPA_MODES
-from stssc.schemes import SCHEMES
 
 SMALL = dict(packets=30, packet_bits=60, snr_db_list=(0.0, 10.0))
 

@@ -10,7 +10,6 @@ from stssc.modem import (
     get_constellation,
     kappa_for,
     modulate,
-    recover_bits,
 )
 
 
@@ -114,15 +113,6 @@ def test_frame_rejects_bad_packets():
     ]
     with pytest.raises(UsageError):
         frame_packets(ragged, c, K=2)
-
-
-def test_recover_bits_drops_padding():
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(3)
-    bits = rng.integers(0, 2, size=1000)
-    blocks = frame_packets([Packet(bits=bits, source=0)], c, K=3)
-    decided = [b.raw[0] for b in blocks]
-    np.testing.assert_array_equal(recover_bits(c, decided, L=1000), bits)
 
 
 def test_check_compatible():
