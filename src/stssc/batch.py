@@ -22,7 +22,10 @@ carries (relay_statistics).  Every column weight is 1, so all K slots
 share one Gram matrix per block.
 
 Bit and packet error counts are reported for the designated destination
-(source index 0); padding bits are excluded.
+(source index 0); padding bits are excluded.  Decisions stay point
+indices to the end: stssc and afost take source 0's digit of the
+candidate index, dstc and direct decide with nearest_index, and the bits
+are the indices' Gray labels, so no decided point is formed or demapped.
 """
 
 from dataclasses import dataclass
@@ -32,15 +35,20 @@ import numpy as np
 
 from . import _kernels
 from .channel import _complex_noise, _gains, _set_sampler
-from .decoder import enumerate_candidates
+from .decoder import enumerate_candidates, first_source_index
 from .designs import OrthogonalDesign
-from .modem import Constellation, _pad_bits, demap_hard, kappa_for, modulate, nearest_points
+# demap_hard is unused here, since bits come from decision indices; it stays
+# bound because perfbench's tracer wraps batch.demap_hard by name
+from .modem import (
+    Constellation, _pad_bits, demap_hard, kappa_for, label_bits, modulate, nearest_index,
+    nearest_points,
+)
 
 # coherence blocks per unit of batched work: the harness simulates packet sets
 # in groups of at most this many blocks (at least one set), and the stssc
 # chain runs its relay-to-decision arithmetic in tiles of this many blocks, so
 # that the arrays past the random draws do not grow with the packet set
-BLOCK_BUDGET = 512
+BLOCK_BUDGET = 1024
 
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
@@ -65,6 +73,16 @@ def blocks_per_set(design: OrthogonalDesign, constellation: Constellation,
                    packet_bits: int) -> int:
     """Coherence blocks a packet set of packet_bits-bit packets occupies."""
     return ceil(packet_bits / (constellation.bits_per_symbol * design.K))
+
+
+def set_bit_errors(constellation: Constellation, decided, bits) -> np.ndarray:
+    """Bit errors per set: decided (S, n) point indices against the sent bits (S, L).
+
+    The decisions' label bits past the first L (symbol and block padding)
+    are not counted.
+    """
+    rx_bits = label_bits(constellation, decided).reshape(len(bits), -1)[:, :bits.shape[1]]
+    return np.count_nonzero(rx_bits != bits, axis=1)
 
 
 def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
@@ -122,7 +140,8 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     the relays.  The relay codewords and the destination's observations
     are never formed (see relay_statistics).
     """
-    X, hSR, hRD, n, w = (np.moveaxis(a, 0, -1).copy() for a in (X, hSR, hRD, n, w))
+    X, hSR, n, w = (a.transpose(1, 2, 0).copy() for a in (X, hSR, n, w))
+    hRD = hRD.T.copy()
     g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=0) + sigma2))         # (M, B)
     q = sqrt(rho) * np.sum(hSR[:, :, None] * X[:, None], axis=0) + n             # (M, K, B)
     stat = relay_statistics(design, q, w, hRD, g)
@@ -179,8 +198,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     if scheme in ("stssc", "afost"):
         hSR = gains((N, M))
         hRD = gains((M,))
-        cand = enumerate_candidates(constellation, N)
-        xc = kappa * cand
+        xc = kappa * enumerate_candidates(constellation, N)
         if scheme == "stssc":
             n = noise((M, K))
             w = noise((M, T))       # drawn for the whole call, so each set keeps its order
@@ -195,7 +213,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             y = (g * hRD)[:, :, None] * q + noise((M, K))
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)
             idx = _kernels.afost_argmin(y, F, xc)
-        decided0 = cand[idx, 0]                                      # (B, K)
+        decided0 = first_source_index(constellation, N, idx)         # (B, K)
 
     elif scheme == "dstc":
         # only destination 0's chain is simulated; the other sources' phases
@@ -212,19 +230,18 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         P, Q = relay_matched_filter(design, y[:, None, :])
         z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)   # (B, K)
         heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
-        decided0 = nearest_points(constellation, z / heq)
+        decided0 = nearest_index(constellation, z / heq)
 
     elif scheme == "direct":
         hSD0 = gains(())
         x0 = X[:, 0, :]
         y = sqrt(rho) * hSD0[:, None] * x0 + noise((K,))
-        decided0 = nearest_points(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
+        decided0 = nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 
-    rx_bits = demap_hard(constellation, decided0.reshape(S, -1)[:, :n_syms]).reshape(S, -1)[:, :L]
-    set_errors = np.count_nonzero(rx_bits != bits[:, 0], axis=1)        # (S,)
+    set_errors = set_bit_errors(constellation, decided0.reshape(S, -1), bits[:, 0])   # (S,)
     per_block = slots_per_block if slots_per_block is not None else SLOT_RULES[scheme](N, M, K, T)
     return SetResult(
         bit_errors=int(set_errors.sum()), payload_bits=S * L,

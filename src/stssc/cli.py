@@ -5,7 +5,9 @@
     stssc-sim dump-design c34
 
 Exit codes: 0 ok, 1 configuration error, 2 I/O error, 3 any other error
-(for example one raised in a worker process).
+(for example one raised in a worker process).  An interrupted run (Ctrl-C)
+ends by KeyboardInterrupt, which a shell reports as status 130, and leaves
+no CSV, no .tmp file and no worker process.
 """
 
 import argparse

@@ -92,6 +92,14 @@ def enumerate_candidates(constellation: Constellation, N: int) -> np.ndarray:
     return _candidate_table(np.asarray(constellation.points, dtype=complex).tobytes(), N)
 
 
+def first_source_index(constellation: Constellation, N: int, idx):
+    """Point index of source 0's symbol in candidates idx of enumerate_candidates(constellation, N).
+
+    The table is source-major, so source 0's index is the leading base-|Q| digit.
+    """
+    return idx // constellation.size ** (N - 1)
+
+
 @lru_cache(maxsize=16)
 def _candidate_table(points: bytes, N: int) -> np.ndarray:
     table = np.array(list(itertools.product(np.frombuffer(points, dtype=complex), repeat=N)),

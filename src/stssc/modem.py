@@ -58,16 +58,26 @@ def demap_hard(c: Constellation, symbols) -> np.ndarray:
     idx = np.argmin(dist, axis=1)
     if np.any(dist[np.arange(len(symbols)), idx] > 1e-9):
         raise ConsistencyError("hard demapper received a non-constellation point")
-    bits = np.zeros((len(symbols), c.bits_per_symbol), dtype=np.int64)
-    for b in range(c.bits_per_symbol):
-        bits[:, c.bits_per_symbol - 1 - b] = (idx >> b) & 1
-    return bits.ravel()
+    return label_bits(c, idx).ravel()
+
+
+def label_bits(c: Constellation, idx) -> np.ndarray:
+    """Gray label bits of point indices, most significant first: (...,) -> (..., bits_per_symbol).
+
+    modulate maps these bits to c.points[idx].
+    """
+    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+    return (np.asarray(idx, dtype=np.int64)[..., None] >> shifts) & 1
+
+
+def nearest_index(c: Constellation, est) -> np.ndarray:
+    """Index of the constellation point nearest each estimate; a tie goes to the first such point."""
+    return np.argmin(np.abs(est[..., None] - c.points), axis=-1)
 
 
 def nearest_points(c: Constellation, est) -> np.ndarray:
-    """The constellation point nearest each estimate; a tie goes to the first such point."""
-    idx = np.argmin(np.abs(est[..., None] - c.points), axis=-1)
-    return c.points[idx]
+    """The constellation point nearest each estimate (see nearest_index)."""
+    return c.points[nearest_index(c, est)]
 
 
 @dataclass(frozen=True)

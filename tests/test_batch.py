@@ -16,7 +16,7 @@ from stssc.batch import (
     simulate_packet_set, stssc_decode_batch,
 )
 from stssc.channel import _gains, _sampler, awgn, draw_channel
-from stssc.decoder import enumerate_candidates, matched_filter
+from stssc.decoder import enumerate_candidates, first_source_index, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
 from stssc.schemes import stssc_pipeline
@@ -167,6 +167,33 @@ def test_batch_baselines_match_replayed_reference(scheme, name, fading):
                               [np.random.default_rng(seed)])
     assert res.bit_errors == replayed_bit_errors(scheme, d, c, rho, fading, L, seed)
     assert res.bit_errors > 0
+
+
+@pytest.mark.parametrize("mod", ["bpsk", "qpsk"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_candidate_table_is_source_major(mod, N):
+    c = get_constellation(mod)
+    cand = enumerate_candidates(c, N)
+    np.testing.assert_array_equal(cand[:, 0],
+                                  c.points[first_source_index(c, N, np.arange(len(cand)))])
+
+
+@pytest.mark.parametrize("mod", ["bpsk", "qpsk"])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("L", [37, 301])
+def test_bit_errors_from_indices_match_demapped_points(mod, N, L):
+    # random candidate decisions for 8 sets of L bits, framed in 4-symbol blocks;
+    # QPSK has a padding bit, and the last block's tail holds padding symbols
+    c = get_constellation(mod)
+    cand = enumerate_candidates(c, N)
+    rng = np.random.default_rng(L + N)
+    S, n = 8, 4 * ceil(L / (4 * c.bits_per_symbol))
+    idx = rng.integers(0, len(cand), size=(S, n))
+    bits = rng.integers(0, 2, size=(S, L))
+    expected = [np.count_nonzero(demap_hard(c, cand[i, 0])[:L] != b) for i, b in zip(idx, bits)]
+    got = batch.set_bit_errors(c, first_source_index(c, N, idx), bits)
+    np.testing.assert_array_equal(got, expected)
+    assert got.min() > 0
 
 
 def test_slot_rules():

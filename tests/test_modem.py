@@ -10,6 +10,8 @@ from stssc.modem import (
     get_constellation,
     kappa_for,
     modulate,
+    nearest_index,
+    nearest_points,
 )
 
 
@@ -50,6 +52,14 @@ def test_roundtrip_random_packet(name):
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=1000)
     np.testing.assert_array_equal(demap_hard(c, modulate(c, bits)), bits)
+
+
+@pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+def test_nearest_points_are_the_points_at_nearest_index(name):
+    c = get_constellation(name)
+    est = np.random.default_rng(4).normal(size=(50, 3)) @ [1, 1j, 0.3]
+    np.testing.assert_array_equal(nearest_points(c, est), c.points[nearest_index(c, est)])
+    np.testing.assert_array_equal(nearest_index(c, c.points), np.arange(c.size))
 
 
 def test_demap_rejects_off_constellation_point():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import make_channel, random_block
 
+from stssc.batch import relay_encode
 from stssc.channel import draw_channel
 from stssc.designs import build_design
 from stssc.errors import UsageError
@@ -95,19 +96,19 @@ def test_stssc_slot_accounting_c34():
 
 
 def test_dstc_relay_error_propagates():
-    # flipping one relay's decision changes the forwarded codeword
+    # dstc's relays forward their own decisions with relay_encode: Alamouti's
+    # relay 0 sends (x0, -x1*) and relay 1 sends (x1, x0*). One relay deciding
+    # one symbol wrong changes that relay's one slot carrying it, by the
+    # error or minus its conjugate, and nothing else.
     d = build_design("alamouti")
-    c = get_constellation("bpsk")
-    raw = np.array([[1.0, 1.0]])
-    scale = np.sqrt(1.0 / 2)
-    hRD = np.array([1.0, 1.0])
-    clean = scale * (hRD @ (
-        np.einsum("ktr,rk->rt", d.A, raw.repeat(2, axis=0))
-        + np.einsum("ktr,rk->rt", d.B, raw.repeat(2, axis=0).conj())
-    ))
-    bad_rd = raw.repeat(2, axis=0).copy()
-    bad_rd[1, 0] = -1.0                      # relay 2 decides the wrong symbol
-    bad = scale * (hRD @ (
-        np.einsum("ktr,rk->rt", d.A, bad_rd) + np.einsum("ktr,rk->rt", d.B, bad_rd.conj())
-    ))
-    assert np.max(np.abs(clean - bad)) > 0.5
+    pts = get_constellation("qpsk").points
+    decided = np.tile(pts[[0, 3]], (2, 1))                    # (M, K): both relays right
+    clean = relay_encode(d, decided)
+    carried = {(0, 0): (0, 1), (0, 1): (1, -1), (1, 0): (1, 1), (1, 1): (0, 1)}
+    for (r, k), (t, sign) in carried.items():
+        wrong = decided.copy()
+        wrong[r, k] = pts[1]
+        err = wrong[r, k] - decided[r, k]
+        expected = np.zeros_like(clean)
+        expected[r, t] = sign * (err if t == 0 else np.conj(err))
+        np.testing.assert_allclose(relay_encode(d, wrong) - clean, expected, atol=1e-15)
