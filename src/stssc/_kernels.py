@@ -1,13 +1,16 @@
-"""Hot decoding kernels: optional numba-compiled loops with a pure-numpy fallback.
+"""Hot decoding kernels: one candidate search, numba-compiled when available.
 
 The candidate search dominates simulation runtime (every coherence block
 evaluates |Q|^N candidate vectors per slot).  The numpy path computes the
 linear and quadratic metric terms as real BLAS matmuls over all candidates
 and picks the argmin.  numba is optional (the `fast` extra,
-`pip install stssc[fast]`); it compiles the plain-Python loops below.  When
+`pip install stssc[fast]`); it compiles the plain-Python loop below.  When
 numba imports cleanly its path is used by default; set STSSC_NO_NUMBA=1 to
 force the numpy path.  Both paths scan candidates in order and keep the
 first minimum, so tie-breaking is identical.
+
+afost_argmin is the same search: the amplify-and-forward distance expands
+into the same linear and quadratic terms, which it forms for the numpy path.
 """
 
 import os
@@ -56,25 +59,8 @@ def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
     return np.argmin(metrics, axis=2).astype(np.int64)
 
 
-def _afost_argmin_numpy(y, F, xc):
-    """y: (B,M,K), F: (B,M,N), xc: (C,N) -> (B,K) indices.
-
-    One slot at a time, so the largest temporary is (B, M, C), not (B, M, K, C).
-    """
-    B, _, K = y.shape
-    model = np.einsum("bmn,cn->bmc", F, xc)                     # (B, M, C)
-    diff = np.empty_like(model)
-    dist = np.empty(model.shape)
-    out = np.empty((B, K), dtype=np.int64)
-    for t in range(K):
-        np.subtract(y[:, :, t, None], model, out=diff)
-        np.square(np.abs(diff, out=dist), out=dist)
-        out[:, t] = np.argmin(np.sum(dist, axis=1), axis=1)
-    return out
-
-
-# The loops below are plain Python so that tests can run them without numba;
-# when numba imports they are compiled as _joint_argmin_numba/_afost_argmin_numba.
+# The loop below is plain Python so that tests can run it without numba; when
+# numba imports it is compiled as _joint_argmin_numba.
 
 def _joint_argmin_loop(u, gram, xc, sqrt_rho):
     B, N, K = u.shape
@@ -107,37 +93,8 @@ def _joint_argmin_loop(u, gram, xc, sqrt_rho):
     return out
 
 
-def _afost_argmin_loop(y, F, xc):
-    B, M, K = y.shape
-    C = xc.shape[0]
-    N = xc.shape[1]
-    out = np.empty((B, K), dtype=np.int64)
-    model = np.empty((M, C), dtype=np.complex128)
-    for b in range(B):
-        for r in range(M):
-            for c in range(C):
-                acc = 0.0 + 0.0j
-                for s in range(N):
-                    acc += F[b, r, s] * xc[c, s]
-                model[r, c] = acc
-        for t in range(K):
-            best = 0
-            best_m = np.inf
-            for c in range(C):
-                m = 0.0
-                for r in range(M):
-                    d = y[b, r, t] - model[r, c]
-                    m += d.real * d.real + d.imag * d.imag
-                if m < best_m:
-                    best_m = m
-                    best = c
-            out[b, t] = best
-    return out
-
-
 if _HAVE_NUMBA:
     _joint_argmin_numba = njit(cache=True)(_joint_argmin_loop)
-    _afost_argmin_numba = njit(cache=True)(_afost_argmin_loop)
 
 
 def joint_argmin(u, gram, xc, sqrt_rho):
@@ -154,9 +111,12 @@ def joint_argmin(u, gram, xc, sqrt_rho):
 
 
 def afost_argmin(y, F, xc):
-    """Batched amplify-and-forward candidate argmin; returns (B, K) candidate indices."""
-    if numba_enabled():
-        return _afost_argmin_numba(
-            np.ascontiguousarray(y), np.ascontiguousarray(F), np.ascontiguousarray(xc)
-        )
-    return _afost_argmin_numpy(y, F, xc)
+    """Batched amplify-and-forward candidate argmin; returns (B, K) candidate indices.
+
+    y: (B,M,K), F: (B,M,N), xc: (C,N).  Since ||y_t - F x||^2 =
+    ||y_t||^2 - 2 Re(x^H F^H y_t) + ||F x||^2, this is joint_argmin's search
+    with u = F^H y, Gram = F^T F* and sqrt_rho = 1, on the numpy path.
+    """
+    u = F.conj().transpose(0, 2, 1) @ y                             # (B, N, K)
+    gram = F.transpose(0, 2, 1) @ F.conj()                          # (B, N, N)
+    return _joint_argmin_numpy(u, gram[:, None], xc, 1.0)

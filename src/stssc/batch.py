@@ -4,12 +4,12 @@ One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
 own generator, and runs the arithmetic once on all their blocks stacked
-as batched numpy arrays, with the candidate search delegated to the
-kernels in stssc._kernels.  This is the only implementation of the
-afost, dstc and direct baselines; the test suite checks them against
-dense per-block references replayed from the same random stream, and
-checks stssc against the per-block reference chain in stssc.schemes /
-stssc.decoder.
+as batched numpy arrays.  stssc and afost share the relay gain rule
+(schemes.af_gains) and the candidate search (stssc._kernels).  This is
+the only implementation of the afost, dstc and direct baselines; the
+test suite checks them against dense per-block references replayed from
+the same random stream, and checks stssc against the per-block
+reference chain in stssc.schemes / stssc.decoder.
 
 Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign
@@ -43,6 +43,7 @@ from .modem import (
     Constellation, _pad_bits, demap_hard, kappa_for, label_bits, modulate, nearest_index,
     nearest_points,
 )
+from .schemes import af_gains
 
 # coherence blocks per unit of batched work: the harness simulates packet sets
 # in groups of at most this many blocks (at least one set), and the stssc
@@ -142,7 +143,7 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     """
     X, hSR, n, w = (a.transpose(1, 2, 0).copy() for a in (X, hSR, n, w))
     hRD = hRD.T.copy()
-    g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=0) + sigma2))         # (M, B)
+    g = af_gains(hSR, rho, sigma2, source_axis=0)                                # (M, B)
     q = sqrt(rho) * np.sum(hSR[:, :, None] * X[:, None], axis=0) + n             # (M, K, B)
     stat = relay_statistics(design, q, w, hRD, g)
     hRS = hSR.transpose(1, 0, 2)                                                 # (M, N, B)
@@ -208,7 +209,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
                 idx[tile] = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], n[tile], w[tile],
                                                design, xc, rho, sigma2)
         else:
-            g = np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=1) + sigma2))   # (B, M)
+            g = af_gains(hSR, rho, sigma2, source_axis=1)                           # (B, M)
             q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + noise((M, K))
             y = (g * hRD)[:, :, None] * q + noise((M, K))
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .designs import OrthogonalDesign
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError
 from .modem import Constellation
 from .schemes import TransmissionTrace
 
@@ -57,8 +57,6 @@ class DecoderStatistics:
 def matched_filter(trace: TransmissionTrace, ch: ChannelRealization,
                    design: OrthogonalDesign, gains) -> DecoderStatistics:
     """Sufficient statistics u, the observation energy and the Gram matrix of all slots."""
-    if trace.scheme != "stssc":
-        raise UsageError(f"matched_filter expects an stssc trace, got {trace.scheme!r}")
     gains = np.asarray(gains, dtype=float)
     y = trace.yRD                                   # (M, T)
     ytil = np.concatenate([y, y.conj()], axis=1)    # (M, 2T)
@@ -138,8 +136,6 @@ def brute_force_oracle(trace: TransmissionTrace, ch: ChannelRealization,
     sum_r ||y~_r - model~_r||^2.  All slots are modelled at once.  No
     matched-filter shortcut; used as the independent check on the fast chain.
     """
-    if trace.scheme != "stssc":
-        raise UsageError(f"brute_force_oracle expects an stssc trace, got {trace.scheme!r}")
     gains = np.asarray(gains, dtype=float)
     candidates = np.asarray(candidates, dtype=complex)
     C, N = candidates.shape

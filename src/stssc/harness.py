@@ -254,7 +254,11 @@ def emit_csv(records, path, extra_stderr: bool = False) -> None:
             row.append(_fmt(_binomial_stderr(rec.ber, rec.bits_total)))
             row.append(_fmt(_binomial_stderr(rec.per, rec.packets_total)))
         lines.append(",".join(row))
-    data = "\n".join(lines) + "\n"
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_atomic(path, data: str) -> None:
+    """Write data to path through path.tmp, so path is either complete or untouched."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
@@ -301,13 +305,5 @@ def compare_runs(paths, out_path) -> list[list[str]]:
         row += [rows[i]["throughput_bps"] for _, rows in runs]
         table.append(row)
     if out_path is not None:
-        tmp = out_path + ".tmp"
-        try:
-            with open(tmp, "w") as fh:
-                fh.write("\n".join(",".join(map(str, row)) for row in table) + "\n")
-            os.replace(tmp, out_path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(out_path, "\n".join(",".join(map(str, row)) for row in table) + "\n")
     return table

@@ -21,8 +21,6 @@ from .modem import SourceBlock
 
 @dataclass
 class TransmissionTrace:
-    scheme: str
-    slots_used: int
     gains: np.ndarray | None = None          # (M,) applied relay gains
     qR: np.ndarray | None = None             # (M, K) relay observations
     yRD: np.ndarray | None = None            # (M, T) destination observations, one row per relay
@@ -37,10 +35,14 @@ def broadcast_phase(block: SourceBlock, ch: ChannelRealization,
     return clean + awgn(clean.shape, ch.sigma2, rng)
 
 
+def af_gains(hSR, rho: float, sigma2: float, source_axis: int) -> np.ndarray:
+    """Amplify-and-forward gains sqrt(rho / (rho sum_s |hSR_s|^2 + sigma^2)), s on source_axis."""
+    return np.sqrt(rho / (rho * np.sum(np.abs(hSR) ** 2, axis=source_axis) + sigma2))
+
+
 def relay_gains(ch: ChannelRealization) -> np.ndarray:
-    """g_r = sqrt(rho / (rho * sum_s |h_{s,r}|^2 + sigma^2)) for all relays."""
-    denom = ch.rho * (np.abs(ch.hSR) ** 2).sum(0) + ch.sigma2
-    return np.sqrt(ch.rho / denom)
+    """The amplify-and-forward gains (af_gains) of all relays of one block, shape (M,)."""
+    return af_gains(ch.hSR, ch.rho, ch.sigma2, source_axis=0)
 
 
 def stssc_pipeline(block: SourceBlock, ch: ChannelRealization, design: OrthogonalDesign,
@@ -57,7 +59,4 @@ def stssc_pipeline(block: SourceBlock, ch: ChannelRealization, design: Orthogona
                       + q.conj()[:, None, :] @ design.B.transpose(2, 0, 1))[:, 0]
     noise = np.array([awgn(design.T, ch.sigma2, rng) for _ in range(design.M)])
     y = ch.hRD[:, None] * z + noise
-    return TransmissionTrace(
-        scheme="stssc", slots_used=design.K + design.M * design.T,
-        gains=g, qR=q, yRD=y,
-    )
+    return TransmissionTrace(gains=g, qR=q, yRD=y)

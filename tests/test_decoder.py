@@ -15,27 +15,15 @@ from stssc.decoder import (
     slot_metrics,
 )
 from stssc.designs import DESIGN_NAMES, build_design
-from stssc.errors import ConfigurationError, UsageError
+from stssc.errors import ConfigurationError
 from stssc.modem import Constellation, get_constellation
-from stssc.schemes import TransmissionTrace, relay_gains, stssc_pipeline
+from stssc.schemes import stssc_pipeline
 
 
 def stssc_statistics(block, ch, d, rng):
     """Matched-filter statistics of one stssc block, with the gains its pipeline used."""
     tr = stssc_pipeline(block, ch, d, rng)
     return matched_filter(tr, ch, d, tr.gains)
-
-
-def afost_trace(M):
-    """A trace of the wrong scheme for the stssc-only decoders."""
-    return TransmissionTrace(scheme="afost", slots_used=0, yRD=np.ones((M, 2), dtype=complex))
-
-
-def test_matched_filter_rejects_wrong_trace():
-    rng = np.random.default_rng(0)
-    ch = draw_channel("unit-mag", 2, 2, 1.0, rng)
-    with pytest.raises(UsageError):
-        matched_filter(afost_trace(ch.M), ch, build_design("alamouti"), relay_gains(ch))
 
 
 def test_matched_filter_single_source_closed_form():
@@ -215,13 +203,3 @@ def test_single_source_bpsk_reduces_to_sign_rule():
         decided = joint_decode(stats, c, 1.0, ch.rho, 1)
         expected = np.where(stats.u[0].real >= 0, 1.0, -1.0)
         np.testing.assert_allclose(decided[0], expected)
-
-
-def test_decode_rejects_wrong_traces():
-    rng = np.random.default_rng(0)
-    d = build_design("alamouti")
-    c = get_constellation("qpsk")
-    ch = draw_channel("unit-mag", 2, 2, 1.0, rng)
-    with pytest.raises(UsageError):
-        brute_force_oracle(afost_trace(ch.M), ch, d, relay_gains(ch),
-                           enumerate_candidates(c, 2), 1 / np.sqrt(2))

@@ -268,6 +268,24 @@ def test_compare_runs(tmp_path):
     assert out.exists()
 
 
+def test_compare_runs_bad_path_writes_nothing(tmp_path):
+    # a missing directory fails before the write; a directory in the way
+    # fails at the final replace, after the .tmp file was written
+    cfg = SimConfig(scheme="direct", code="alamouti", seed=5, **SMALL)
+    p = tmp_path / "run.csv"
+    emit_csv(run_sweep(cfg), str(p))
+    missing = tmp_path / "no" / "dir" / "cmp.csv"
+    with pytest.raises(OSError):
+        compare_runs([str(p)], str(missing))
+    assert not missing.parent.exists()
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    with pytest.raises(OSError):
+        compare_runs([str(p)], str(taken))
+    assert taken.is_dir() and not any(taken.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["run.csv", "taken"]
+
+
 def test_compare_runs_single_input_passthrough(tmp_path):
     cfg = SimConfig(scheme="direct", code="alamouti", seed=5, **SMALL)
     p = tmp_path / "solo.csv"

@@ -87,7 +87,6 @@ def test_stssc_pipeline_matches_reference(name, fading):
             np.testing.assert_array_equal(tr.qR, q)
             np.testing.assert_array_equal(tr.gains, g)
             np.testing.assert_array_equal(tr.yRD, y)
-            assert tr.slots_used == d.K + d.M * d.T
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -109,7 +108,7 @@ def test_brute_force_oracle_matches_reference(name, fading):
                 tr = stssc_pipeline(random_block(c, N, d.K, kappa, rng), ch, d, rng)
             else:
                 y = rng.normal(size=(d.M, d.T)) + 1j * rng.normal(size=(d.M, d.T))
-                tr = TransmissionTrace(scheme="stssc", slots_used=0, yRD=y)
+                tr = TransmissionTrace(yRD=y)
             np.testing.assert_array_equal(
                 brute_force_oracle(tr, ch, d, g, cand, kappa),
                 reference_brute_force_oracle(tr, ch, d, g, cand, kappa),
@@ -124,7 +123,7 @@ def test_brute_force_oracle_ties_match_reference(name):
     cand = enumerate_candidates(c, 2)
     rng = np.random.default_rng(4)
     ch = draw_channel("rayleigh", 2, d.M, 10.0, rng)
-    tr = TransmissionTrace(scheme="stssc", slots_used=0, yRD=np.ones((d.M, d.T), dtype=complex))
+    tr = TransmissionTrace(yRD=np.ones((d.M, d.T), dtype=complex))
     decided = brute_force_oracle(tr, ch, d, np.zeros(d.M), cand, 0.5)
     np.testing.assert_array_equal(decided, reference_brute_force_oracle(tr, ch, d, np.zeros(d.M),
                                                                         cand, 0.5))

@@ -3,7 +3,6 @@ import pytest
 from conftest import make_channel, random_block
 
 from stssc.batch import relay_encode
-from stssc.channel import draw_channel
 from stssc.designs import build_design
 from stssc.errors import UsageError
 from stssc.modem import SourceBlock, get_constellation
@@ -83,16 +82,6 @@ def test_stssc_pipeline_noiseless_unit_channels():
         [g * xi[1], g * np.conj(xi[0])],        # relay 2's column
     ])
     np.testing.assert_allclose(tr.yRD, expected, atol=1e-14)
-    assert tr.slots_used == 6
-
-
-def test_stssc_slot_accounting_c34():
-    d = build_design("c34")
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(2)
-    block = random_block(c, 3, d.K, kappa=1 / np.sqrt(3), rng=rng)
-    ch = draw_channel("unit-mag", 3, 3, 1.0, rng)
-    assert stssc_pipeline(block, ch, d, rng).slots_used == 15
 
 
 def test_dstc_relay_error_propagates():
