@@ -5,11 +5,10 @@ blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
 own generator, and runs the arithmetic once on all their blocks stacked
 as batched numpy arrays.  stssc and afost share the relay gain rule
-(schemes.af_gains) and the candidate search (stssc._kernels).  This is
-the only implementation of the afost, dstc and direct baselines; the
-test suite checks them against dense per-block references replayed from
-the same random stream, and checks stssc against the per-block
-reference chain in stssc.schemes / stssc.decoder.
+(schemes.af_gains) and the candidate search (stssc._kernels).  The test
+suite checks the afost, dstc and direct baselines against dense
+per-block references replayed from the same random stream, and stssc's
+decisions against the brute-force oracle (decoder.brute_force_indices).
 
 Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign

@@ -15,19 +15,17 @@ class ChannelRealization:
     """Gains for one coherence block, constant across all its phases.
 
     hSR[s, r] is the source s -> relay r gain, hRD[r] the relay r ->
-    destination gain, hSD[s] the direct source -> destination gain.
+    destination gain.
     """
 
     hSR: np.ndarray     # (N, M)
     hRD: np.ndarray     # (M,)
-    hSD: np.ndarray     # (N,)
     rho: float
     sigma2: float
 
     def __post_init__(self):
         self.hSR.setflags(write=False)
         self.hRD.setflags(write=False)
-        self.hSD.setflags(write=False)
 
     @property
     def N(self) -> int:
@@ -90,7 +88,6 @@ def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generato
     return ChannelRealization(
         hSR=_gains(model, _sampler(rng, (N, M))),
         hRD=_gains(model, _sampler(rng, (M,))),
-        hSD=_gains(model, _sampler(rng, (N,))),
         rho=float(rho),
         sigma2=float(sigma2),
     )

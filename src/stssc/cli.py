@@ -41,7 +41,7 @@ def _parse_snr(text: str) -> tuple:
 
 
 def _read_config_file(path: str) -> dict:
-    """key=value lines; blank lines and # comments ignored."""
+    """key=value lines, values kept as strings (# comments skipped); a bad value names file:line."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -51,20 +51,28 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            try:
+                _coerce(key, value)
+            except (ValueError, ConfigurationError) as exc:
+                raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            out[key] = value
     return out
 
 
 _INT_KEYS = {"sources", "relays", "packets", "packet_bits", "seed", "workers",
              "phases_override"}
 _BOOL_KEYS = {"noiseless", "stderr"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _coerce(key: str, value: str):
     if key in _INT_KEYS:
         return int(value)
     if key in _BOOL_KEYS:
-        return value.strip().lower() in ("1", "true", "yes")
+        if value.lower() not in _BOOL_WORDS:
+            raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {value!r}")
+        return _BOOL_WORDS[value.lower()]
     if key == "snr":
         return _parse_snr(value)
     return value

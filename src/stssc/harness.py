@@ -1,8 +1,11 @@
 """Monte Carlo experiment driver: configs, sweeps, accounting, CSV emission."""
 
+import contextlib
 import csv
 import hashlib
 import os
+import signal
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
@@ -93,6 +96,8 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError(f"SNR values must lie within +-{MAX_SNR_DB:g} dB")
     if cfg.seed < 0:
         raise ConfigurationError("seed must be nonnegative")
+    if cfg.workers < 1:
+        raise ConfigurationError("need at least one worker")
     if cfg.fading not in FADING_MODELS:
         raise ConfigurationError(f"unknown fading model {cfg.fading!r}")
     if cfg.normalization not in KAPPA_MODES:
@@ -181,6 +186,28 @@ def _raise_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 28)
 
 
+@contextlib.contextmanager
+def _sigint_held():
+    """Hold SIGINT back while the block runs, then deliver it to its own handler.
+
+    A KeyboardInterrupt raised inside ProcessPoolExecutor.submit can leave
+    one of the pool's queue locks held, and the pool's shutdown then waits
+    forever for its manager thread.  Only the main thread runs signal
+    handlers; elsewhere the block runs as it is.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    held = []
+    previous = signal.signal(signal.SIGINT, lambda *_: held.append(True))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    if held:
+        signal.raise_signal(signal.SIGINT)
+
+
 def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     """Simulate each (point_index, snr_db) of a validated config, in order.
 
@@ -198,8 +225,9 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
         with ProcessPoolExecutor(max_workers=len(chunks),
                                  initializer=_raise_malloc_thresholds) as pool:
             try:
-                futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]
-                           for i, snr_db in points]
+                with _sigint_held():
+                    futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]
+                               for i, snr_db in points]
                 totals = [tuple(map(sum, zip(*(f.result() for f in fs)))) for fs in futures]
             except BaseException:
                 # a failed or interrupted sweep must not wait for the rest of the queue
@@ -259,7 +287,7 @@ def emit_csv(records, path, extra_stderr: bool = False) -> None:
 
 def _write_atomic(path, data: str) -> None:
     """Write data to path through path.tmp, so path is either complete or untouched."""
-    tmp = path + ".tmp"
+    tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "w") as fh:
             fh.write(data)

@@ -109,10 +109,6 @@ class SourceBlock:
     def N(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def K(self) -> int:
-        return self.X.shape[1]
-
 
 def kappa_for(n_sources: int, kappa_mode: str, T: int) -> float:
     """Transmit scale: 1/sqrt(N) (per-slot aggregate power) or 1/sqrt(T*N) (block-energy)."""

@@ -1,14 +1,11 @@
-"""The superimposed space-time scheme (stssc) as a per-block reference pipeline.
+"""The superimposed space-time scheme (stssc) for one block, and the relay gain rule.
 
-stssc_pipeline maps (SourceBlock, ChannelRealization, rng) to a
-TransmissionTrace holding everything the destination observes, plus the
-relay quantities kept for test oracles.  The Monte Carlo engine runs every
-scheme through stssc.batch; this chain, with stssc.decoder, is the
-block-by-block reference that acceptance criterion 2 checks against the
-brute-force oracle.
+stssc_pipeline maps (SourceBlock, ChannelRealization, rng) to the
+destination's observations, which stssc.decoder's matched-filter chain
+and brute-force oracle decide.  The Monte Carlo engine runs every scheme
+through stssc.batch and shares af_gains with this module.
 """
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -17,13 +14,6 @@ from .channel import ChannelRealization, awgn
 from .designs import OrthogonalDesign
 from .errors import UsageError
 from .modem import SourceBlock
-
-
-@dataclass
-class TransmissionTrace:
-    gains: np.ndarray | None = None          # (M,) applied relay gains
-    qR: np.ndarray | None = None             # (M, K) relay observations
-    yRD: np.ndarray | None = None            # (M, T) destination observations, one row per relay
 
 
 def broadcast_phase(block: SourceBlock, ch: ChannelRealization,
@@ -46,17 +36,19 @@ def relay_gains(ch: ChannelRealization) -> np.ndarray:
 
 
 def stssc_pipeline(block: SourceBlock, ch: ChannelRealization, design: OrthogonalDesign,
-                   rng: np.random.Generator) -> TransmissionTrace:
+                   rng: np.random.Generator) -> np.ndarray:
     """Broadcast, amplify-and-space-time-encode at each relay, forward sequentially.
 
-    Every relay encodes at once; the forwarding noise is drawn one relay at
-    a time, in relay order.
+    Returns the destination's observations, one row per relay, shape (M, T).
+    Every relay encodes at once with the gains relay_gains(ch); the
+    forwarding noise is drawn one relay at a time, in relay order.
     """
+    if ch.M != design.M:
+        raise UsageError(f"channel has {ch.M} relays, design {design.name!r} has {design.M}")
     q = broadcast_phase(block, ch, rng)
     g = relay_gains(ch)
     # z[r] = g_r (q_r @ A[:, :, r] + q_r* @ B[:, :, r]), shape (M, T)
     z = g[:, None] * (q[:, None, :] @ design.A.transpose(2, 0, 1)
                       + q.conj()[:, None, :] @ design.B.transpose(2, 0, 1))[:, 0]
     noise = np.array([awgn(design.T, ch.sigma2, rng) for _ in range(design.M)])
-    y = ch.hRD[:, None] * z + noise
-    return TransmissionTrace(gains=g, qR=q, yRD=y)
+    return ch.hRD[:, None] * z + noise

@@ -5,14 +5,10 @@ from stssc.decoder import joint_ml_decode_slot
 from stssc.modem import SourceBlock, get_constellation
 
 
-def make_channel(hSR, hRD, hSD=None, rho=1.0, sigma2=1.0):
+def make_channel(hSR, hRD, rho=1.0, sigma2=1.0):
     """ChannelRealization with prescribed gains (hand-built test channels)."""
-    hSR = np.asarray(hSR, dtype=complex)
-    hRD = np.asarray(hRD, dtype=complex)
-    if hSD is None:
-        hSD = np.ones(hSR.shape[0], dtype=complex)
     return ChannelRealization(
-        hSR=hSR, hRD=hRD, hSD=np.asarray(hSD, dtype=complex),
+        hSR=np.asarray(hSR, dtype=complex), hRD=np.asarray(hRD, dtype=complex),
         rho=float(rho), sigma2=float(sigma2),
     )
 

@@ -23,18 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from stssc.batch import relay_encode
-from stssc.channel import draw_channel
-from stssc.decoder import (
-    brute_force_oracle,
-    enumerate_candidates,
-    joint_ml_decode_slot,
-    matched_filter,
-)
+from stssc.batch import BLOCK_BUDGET, relay_encode, stssc_decode_batch
+from stssc.channel import _gains, _sampler, awgn, draw_channel
+from stssc.decoder import brute_force_indices, enumerate_candidates, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design, verify_orthogonality
 from stssc.harness import SimConfig, _binomial_stderr, emit_csv, run_point, run_sweep
 from stssc.modem import get_constellation
-from stssc.schemes import af_gains, stssc_pipeline
+from stssc.schemes import af_gains, relay_gains, stssc_pipeline
 
 from conftest import random_block
 
@@ -61,32 +56,46 @@ def test_criterion_01_orthogonal_design_suite():
     assert ok, line
 
 
+def oracle_observations(design, X, hSR, hRD, g, n, w, rho):
+    """Destination observations y = hRD g (q A + q* B) + w, from the dense A and B; (B, M, T)."""
+    q = np.sqrt(rho) * (hSR.transpose(0, 2, 1) @ X) + n                      # (B, M, K)
+    z = np.einsum("brk,ktr->brt", q, design.A) + np.einsum("brk,ktr->brt", q.conj(), design.B)
+    return (hRD * g)[:, :, None] * z + w
+
+
 def test_criterion_02_decoder_oracle_equivalence():
+    # the simulator's stssc engine decides each case's blocks, drawn as
+    # arrays, in tiles of BLOCK_BUDGET blocks; the brute-force oracle decides
+    # the same blocks from the observations the dense A/B model gives
     t0 = time.perf_counter()
     blocks_per_case = 10_000
     total = mismatches = 0
     rng = np.random.default_rng(2024)
     for code, mod, n in CONFIGS:
         design = build_design(code)
+        M, K, T = design.M, design.K, design.T
         c = get_constellation(mod)
         kappa = 1 / np.sqrt(n)
         cand = enumerate_candidates(c, n)
         for fading in ("unit-mag", "rayleigh"):
             for snr_db in (0.0, 10.0, 20.0):
                 rho = 10.0 ** (snr_db / 10.0)
-                for _ in range(blocks_per_case):
-                    ch = draw_channel(fading, n, design.M, rho, rng)
-                    block = random_block(c, n, design.K, kappa, rng)
-                    tr = stssc_pipeline(block, ch, design, rng)
-                    g = tr.gains
-                    stats = matched_filter(tr, ch, design, g)
-                    fast = np.column_stack([
-                        joint_ml_decode_slot(stats, t, c, kappa, rho, n)
-                        for t in range(design.K)
-                    ])
-                    oracle = brute_force_oracle(tr, ch, design, g, cand, kappa)
-                    total += 1
-                    mismatches += int(not np.array_equal(fast, oracle))
+                hSR = _gains(fading, _sampler(rng, (blocks_per_case, n, M)))
+                hRD = _gains(fading, _sampler(rng, (blocks_per_case, M)))
+                X = kappa * c.points[rng.integers(0, c.size, size=(blocks_per_case, n, K))]
+                bn = awgn((blocks_per_case, M, K), 1.0, rng)
+                fw = awgn((blocks_per_case, M, T), 1.0, rng)
+                for lo in range(0, blocks_per_case, BLOCK_BUDGET):
+                    tile = slice(lo, lo + BLOCK_BUDGET)
+                    fast = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], bn[tile], fw[tile],
+                                              design, kappa * cand, rho, 1.0)
+                    g = af_gains(hSR[tile], rho, 1.0, source_axis=1)
+                    y = oracle_observations(design, X[tile], hSR[tile], hRD[tile], g, bn[tile],
+                                            fw[tile], rho)
+                    oracle = brute_force_indices(y, hSR[tile], hRD[tile], g, design, cand,
+                                                 kappa, rho)
+                    mismatches += np.count_nonzero(np.any(fast != oracle, axis=1))
+                total += blocks_per_case
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 300.0
     line = report(2, ok, f"{total - mismatches}/{total} blocks identical, {elapsed:.0f}s")
@@ -103,15 +112,14 @@ def test_criterion_03_decoupling():
         for _ in range(100):
             ch = draw_channel("rayleigh", n, design.M, 1.0, rng, sigma2=0.0)
             block = random_block(c, n, design.K, kappa, rng)
-            tr = stssc_pipeline(block, ch, design, rng)
-            base = matched_filter(tr, ch, design, tr.gains).u
+            g = relay_gains(ch)
+            base = matched_filter(stssc_pipeline(block, ch, design, rng), ch, design, g).u
             pert = random_block(c, n, design.K, kappa, rng)
             for t in range(design.K):
                 raw = pert.raw.copy()
                 raw[:, t] = block.raw[:, t]         # only slot t unchanged
                 other = type(block)(X=kappa * raw, raw=raw, kappa=kappa)
-                tr = stssc_pipeline(other, ch, design, rng)
-                u2 = matched_filter(tr, ch, design, tr.gains).u
+                u2 = matched_filter(stssc_pipeline(other, ch, design, rng), ch, design, g).u
                 rel = np.max(np.abs(u2[:, t] - base[:, t]) / np.maximum(np.abs(base[:, t]), 1e-300))
                 worst = max(worst, float(rel))
     ok = worst <= 1e-10

@@ -1,8 +1,8 @@
-"""Cross-checks of the vectorized Monte Carlo engine: stssc against the
-per-block reference chain, the baselines against dense per-block references
-written here."""
+"""Cross-checks of the vectorized Monte Carlo engine: its stssc stages against
+the dense dispersion products, the baselines against dense per-block
+references written here.  Acceptance criterion 2 checks stssc's decisions
+against the brute-force oracle."""
 
-import copy
 import tracemalloc
 from dataclasses import fields
 from math import ceil, sqrt
@@ -13,41 +13,14 @@ import pytest
 from stssc import batch
 from stssc.batch import (
     SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_matched_filter, relay_statistics,
-    simulate_packet_set, stssc_decode_batch,
+    simulate_packet_set,
 )
-from stssc.channel import _gains, _sampler, awgn, draw_channel
-from stssc.decoder import enumerate_candidates, first_source_index, matched_filter
+from stssc.channel import _gains, _sampler, awgn
+from stssc.decoder import enumerate_candidates, first_source_index
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
-from stssc.schemes import stssc_pipeline
 
-from conftest import constellation_for, joint_decode, random_block
-
-
-@pytest.mark.parametrize("name", DESIGN_NAMES)
-def test_batch_stssc_decisions_match_reference(name):
-    # the batch is fed the reference pipeline's draws: its broadcast noise and
-    # then one relay's forwarding noise at a time, replayed from a copy of rng
-    d = build_design(name)
-    c = constellation_for(d)
-    N = d.M
-    kappa = 1 / np.sqrt(N)
-    rng = np.random.default_rng(19)
-    cand = enumerate_candidates(c, N)
-    for trial in range(30):
-        ch = draw_channel("rayleigh" if trial % 2 else "unit-mag", N, d.M,
-                          10.0 ** (trial % 3), rng)
-        block = random_block(c, N, d.K, kappa, rng)
-        replay = copy.deepcopy(rng)
-        tr = stssc_pipeline(block, ch, d, rng)
-        n = awgn((d.M, d.K), ch.sigma2, replay)
-        w = np.array([awgn(d.T, ch.sigma2, replay) for _ in range(d.M)])
-        assert replay.bit_generator.state == rng.bit_generator.state
-        np.testing.assert_allclose(np.sqrt(ch.rho) * ch.hSR.T @ block.X + n, tr.qR)
-        ref = joint_decode(matched_filter(tr, ch, d, tr.gains), c, kappa, ch.rho, N)
-        idx = stssc_decode_batch(block.X[None], ch.hSR[None], ch.hRD[None], n[None], w[None],
-                                 d, kappa * cand, ch.rho, ch.sigma2)
-        np.testing.assert_array_equal(cand[idx[0]].T, ref)
+from conftest import constellation_for
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)

@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stssc import cli
 from stssc.batch import SCHEMES
 from stssc.channel import FADING_MODELS
 from stssc.cli import _parse_snr, _read_config_file, build_parser, main
@@ -40,6 +42,24 @@ def test_read_config_file(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ConfigurationError):
         _read_config_file(str(bad))
+
+
+@pytest.mark.parametrize("line", ["packets=abc", "noiseless=maybe", "workers=2.5", "snr=x"])
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"# comment\nscheme=direct\n{line}\n")
+    key = line.split("=")[0]
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}:3: bad value for '{key}'")):
+        _read_config_file(str(path))
+    assert main(["run", "--config", str(path), "-o", str(tmp_path / "x.csv")]) == 1
+    assert f"cfg.txt:3: bad value for '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("word,value", [("1", True), ("TRUE", True), ("yes", True),
+                                        ("0", False), ("False", False), ("no", False)])
+def test_config_bool_words(word, value):
+    assert cli._coerce("noiseless", word) is value
 
 
 def test_run_command_end_to_end(tmp_path):
@@ -101,6 +121,8 @@ def test_dump_design_command(capsys):
 
 def test_exit_codes(tmp_path, capsys):
     # configuration error -> 1 (including argparse-level errors)
+    assert main(["run", "--scheme", "direct", "--snr", "0", "--workers", "0",
+                 "-o", str(tmp_path / "x.csv")]) == 1
     assert main(["run", "--scheme", "direct", "--code", "alamouti",
                  "--relays", "5", "--snr", "0", "-o", str(tmp_path / "x.csv")]) == 1
     assert main(["run", "--scheme", "bogus", "-o", str(tmp_path / "x.csv")]) == 1

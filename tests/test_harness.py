@@ -1,7 +1,9 @@
 import ctypes
 import multiprocessing
 import os
+import signal
 import tempfile
+import threading
 import time
 from dataclasses import replace
 from types import SimpleNamespace
@@ -59,6 +61,9 @@ def test_validate_rejects_bad_configs():
         validate(SimConfig(snr_db_list=(-1e300,), noiseless=True))  # ... or underflows to 0
     with pytest.raises(ConfigurationError):
         validate(SimConfig(seed=-1))
+    for workers in (0, -5):
+        with pytest.raises(ConfigurationError):
+            validate(SimConfig(workers=workers))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(fading="nakagami"))
     with pytest.raises(ConfigurationError):
@@ -190,6 +195,31 @@ def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, 
     assert multiprocessing.active_children() == []
 
 
+def test_sigint_is_held_until_the_block_ends():
+    # an interrupt inside the block (the pool being fed) is delivered once, at
+    # its end, by the handler that was set before; other threads just run it
+    before = signal.signal(signal.SIGINT, signal.default_int_handler)
+    ran = []
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with harness._sigint_held():
+                signal.raise_signal(signal.SIGINT)
+                signal.raise_signal(signal.SIGINT)
+                ran.append("main")
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+        def in_thread():
+            with harness._sigint_held():
+                ran.append("thread")
+
+        thread = threading.Thread(target=in_thread)
+        thread.start()
+        thread.join()
+    finally:
+        signal.signal(signal.SIGINT, before)
+    assert ran == ["main", "thread"]
+
+
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
 def test_sweep_records_do_not_depend_on_grouping(monkeypatch, scheme):
     # 127-bit QPSK sets are 32 blocks: 40 sets run as groups of 16, 16 and 8,
@@ -266,6 +296,14 @@ def test_compare_runs(tmp_path):
     for row in table[1:]:
         assert row[1] == row[2] and row[3] == row[4]
     assert out.exists()
+
+
+def test_emit_csv_and_compare_runs_take_path_objects(tmp_path):
+    records = run_sweep(SimConfig(scheme="direct", code="alamouti", seed=5, **SMALL))
+    emit_csv(records, tmp_path / "run.csv")
+    table = compare_runs([tmp_path / "run.csv"], tmp_path / "cmp.csv")
+    assert (tmp_path / "cmp.csv").read_text().splitlines()[0] == ",".join(table[0])
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cmp.csv", "run.csv"]
 
 
 def test_compare_runs_bad_path_writes_nothing(tmp_path):

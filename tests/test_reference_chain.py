@@ -1,10 +1,11 @@
-"""The per-block reference chain pinned to its earlier, loop-based forms.
+"""The per-block stssc chain and the brute-force oracle pinned to loop-based forms.
 
 stssc_pipeline, brute_force_oracle and frame_packets were rewritten to cut
-their fixed per-call cost.  The forms they replaced are copied below as
-references.  The rewritten functions must give the same arrays and the same
-decisions, and must leave the generator in the same state, so that
-acceptance criterion 2 keeps checking the same blocks.
+their fixed per-call cost, and the oracle was extended to stacks of blocks
+(brute_force_indices), the form in which acceptance criterion 2 checks the
+batched engine.  The forms they replaced are copied below as references.
+The rewritten functions must give the same arrays and the same decisions,
+block by block, and must leave the generator in the same state.
 """
 
 from math import ceil
@@ -14,14 +15,14 @@ import pytest
 from conftest import constellation_for, random_block
 
 from stssc.channel import awgn, draw_channel
-from stssc.decoder import brute_force_oracle, enumerate_candidates
+from stssc.decoder import brute_force_indices, brute_force_oracle, enumerate_candidates
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import Packet, SourceBlock, frame_packets, get_constellation, kappa_for, modulate
-from stssc.schemes import TransmissionTrace, stssc_pipeline
+from stssc.schemes import relay_gains, stssc_pipeline
 
 
 def reference_stssc_pipeline(block, ch, design, rng):
-    """(qR, gains, yRD): broadcast, then each relay encodes and forwards in turn."""
+    """Destination observations (M, T): broadcast, then each relay encodes and forwards in turn."""
     clean = np.sqrt(ch.rho) * (ch.hSR.T @ block.X)
     q = clean + awgn(clean.shape, ch.sigma2, rng)
     g = np.sqrt(ch.rho / (ch.rho * np.sum(np.abs(ch.hSR) ** 2, axis=0) + ch.sigma2))
@@ -30,14 +31,13 @@ def reference_stssc_pipeline(block, ch, design, rng):
         a, b = design.A[:, :, r], design.B[:, :, r]
         z = g[r] * (q[r] @ a + q[r].conj() @ b)
         y[r] = ch.hRD[r] * z + awgn(z.shape, ch.sigma2, rng)
-    return q, g, y
+    return y
 
 
-def reference_brute_force_oracle(trace, ch, design, gains, candidates, kappa):
+def reference_brute_force_oracle(y, ch, design, gains, candidates, kappa):
     """Per-slot loop over the dense A/B forward model with full Euclidean metrics."""
     gains = np.asarray(gains, dtype=float)
     C, N = candidates.shape
-    y = trace.yRD
     xi = np.sqrt(ch.rho) * kappa * (ch.hSR.T @ candidates.T)
     out = np.zeros((N, design.K), dtype=complex)
     for t in range(design.K):
@@ -82,11 +82,8 @@ def test_stssc_pipeline_matches_reference(name, fading):
             block = random_block(c, N, d.K, 1 / np.sqrt(N), rng)
             seed = int(rng.integers(2**32))
             new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            tr = stssc_pipeline(block, ch, d, new_rng)
-            q, g, y = reference_stssc_pipeline(block, ch, d, ref_rng)
-            np.testing.assert_array_equal(tr.qR, q)
-            np.testing.assert_array_equal(tr.gains, g)
-            np.testing.assert_array_equal(tr.yRD, y)
+            np.testing.assert_array_equal(stssc_pipeline(block, ch, d, new_rng),
+                                          reference_stssc_pipeline(block, ch, d, ref_rng))
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -105,14 +102,37 @@ def test_brute_force_oracle_matches_reference(name, fading):
             ch = draw_channel(fading, N, d.M, 10.0 ** (trial % 3), rng)
             g = rng.uniform(0.2, 1.5, size=d.M)
             if trial % 2:
-                tr = stssc_pipeline(random_block(c, N, d.K, kappa, rng), ch, d, rng)
+                y = stssc_pipeline(random_block(c, N, d.K, kappa, rng), ch, d, rng)
             else:
                 y = rng.normal(size=(d.M, d.T)) + 1j * rng.normal(size=(d.M, d.T))
-                tr = TransmissionTrace(yRD=y)
             np.testing.assert_array_equal(
-                brute_force_oracle(tr, ch, d, g, cand, kappa),
-                reference_brute_force_oracle(tr, ch, d, g, cand, kappa),
+                brute_force_oracle(y, ch, d, g, cand, kappa),
+                reference_brute_force_oracle(y, ch, d, g, cand, kappa),
             )
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+@pytest.mark.parametrize("fading", ["unit-mag", "rayleigh"])
+def test_brute_force_indices_of_a_stack_match_reference(name, fading):
+    # one call on a (3, 8) stack of blocks, each with its own channel, gains
+    # and observations, decides every block as the per-block loop does
+    d = build_design(name)
+    c = constellation_for(d)
+    rng = np.random.default_rng(7)
+    for N in (1, 2, d.M):
+        cand = enumerate_candidates(c, N)
+        kappa, rho = 1 / np.sqrt(N), 10.0 ** (N % 3)
+        chs = [draw_channel(fading, N, d.M, rho, rng) for _ in range(24)]
+        ys = [stssc_pipeline(random_block(c, N, d.K, kappa, rng), ch, d, rng) for ch in chs]
+        gains = [relay_gains(ch) for ch in chs]
+        got = brute_force_indices(
+            np.reshape(ys, (3, 8, d.M, d.T)), np.reshape([ch.hSR for ch in chs], (3, 8, N, d.M)),
+            np.reshape([ch.hRD for ch in chs], (3, 8, d.M)), np.reshape(gains, (3, 8, d.M)),
+            d, cand, kappa, rho,
+        ).reshape(24, d.K)
+        for idx, y, ch, g in zip(got, ys, chs, gains):
+            np.testing.assert_array_equal(cand[idx].T,
+                                          reference_brute_force_oracle(y, ch, d, g, cand, kappa))
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
@@ -123,9 +143,9 @@ def test_brute_force_oracle_ties_match_reference(name):
     cand = enumerate_candidates(c, 2)
     rng = np.random.default_rng(4)
     ch = draw_channel("rayleigh", 2, d.M, 10.0, rng)
-    tr = TransmissionTrace(yRD=np.ones((d.M, d.T), dtype=complex))
-    decided = brute_force_oracle(tr, ch, d, np.zeros(d.M), cand, 0.5)
-    np.testing.assert_array_equal(decided, reference_brute_force_oracle(tr, ch, d, np.zeros(d.M),
+    y = np.ones((d.M, d.T), dtype=complex)
+    decided = brute_force_oracle(y, ch, d, np.zeros(d.M), cand, 0.5)
+    np.testing.assert_array_equal(decided, reference_brute_force_oracle(y, ch, d, np.zeros(d.M),
                                                                         cand, 0.5))
     np.testing.assert_array_equal(decided, np.repeat(cand[0][:, None], d.K, axis=1))
 

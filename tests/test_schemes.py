@@ -61,8 +61,8 @@ def test_stssc_forward_phase_rotation():
     # noiseless: relay->destination gains of j rotate every forwarded codeword by 90 degrees
     d = build_design("alamouti")
     block = random_block(get_constellation("qpsk"), 1, d.K, 1.0, np.random.default_rng(3))
-    y1 = stssc_pipeline(block, make_channel(np.ones((1, 2)), [1, 1], sigma2=0.0), d, NO_NOISE).yRD
-    yj = stssc_pipeline(block, make_channel(np.ones((1, 2)), [1j, 1j], sigma2=0.0), d, NO_NOISE).yRD
+    y1 = stssc_pipeline(block, make_channel(np.ones((1, 2)), [1, 1], sigma2=0.0), d, NO_NOISE)
+    yj = stssc_pipeline(block, make_channel(np.ones((1, 2)), [1j, 1j], sigma2=0.0), d, NO_NOISE)
     np.testing.assert_allclose(yj, 1j * y1, atol=1e-14)
     assert np.all(np.abs(y1) > 0)
 
@@ -74,14 +74,22 @@ def test_stssc_pipeline_noiseless_unit_channels():
     rng = np.random.default_rng(9)
     block = random_block(c, 2, d.K, kappa=1 / np.sqrt(2), rng=rng)
     ch = make_channel(np.ones((2, 2)), np.ones(2), rho=1.0, sigma2=0.0)
-    tr = stssc_pipeline(block, ch, d, rng)
+    y = stssc_pipeline(block, ch, d, rng)
     g = relay_gains(ch)[0]
     xi = block.X.sum(axis=0)            # superimposed symbols per slot
     expected = np.array([
         [g * xi[0], -g * np.conj(xi[1])],       # relay 1's column
         [g * xi[1], g * np.conj(xi[0])],        # relay 2's column
     ])
-    np.testing.assert_allclose(tr.yRD, expected, atol=1e-14)
+    np.testing.assert_allclose(y, expected, atol=1e-14)
+
+
+def test_stssc_pipeline_relay_count_mismatch():
+    # a one-relay channel cannot carry the two-relay Alamouti code
+    d = build_design("alamouti")
+    block = unit_block([[1.0, 1.0]])
+    with pytest.raises(UsageError):
+        stssc_pipeline(block, make_channel(hSR=[[1]], hRD=[1], sigma2=0.0), d, NO_NOISE)
 
 
 def test_dstc_relay_error_propagates():
