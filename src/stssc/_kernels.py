@@ -1,34 +1,22 @@
-"""Hot decoding kernels: one candidate search, numba-compiled when available.
+"""Hot decoding kernels: one candidate search, in numpy.
 
-The candidate search dominates simulation runtime (every coherence block
-evaluates |Q|^N candidate vectors per slot).  The numpy path computes the
-linear and quadratic metric terms as real BLAS matmuls over all candidates
-and picks the argmin.  numba is optional (the `fast` extra,
-`pip install stssc[fast]`); it compiles the plain-Python loop below.  When
-numba imports cleanly its path is used by default; set STSSC_NO_NUMBA=1 to
-force the numpy path.  Both paths scan candidates in order and keep the
-first minimum, so tie-breaking is identical.
+The candidate search dominates the destination's work: every coherence
+block evaluates |Q|^N candidate vectors per slot.  It computes the linear
+and quadratic metric terms as real BLAS matmuls over all candidates and
+keeps the first minimum, so ties go to the lowest candidate index.
 
 afost_argmin is the same search: the amplify-and-forward distance expands
-into the same linear and quadratic terms, which it forms for the numpy path.
+into the same linear and quadratic terms, which it forms first.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional: fall back to the numpy path
-    _HAVE_NUMBA = False
+# perfbench/run.py's provenance() reads these two names on every run
+_HAVE_NUMBA = False
 
 
 def numba_enabled() -> bool:
-    if os.environ.get("STSSC_NO_NUMBA", "").strip().lower() in ("1", "true", "yes"):
-        return False
-    return _HAVE_NUMBA
+    return False
 
 
 def _real_inner(a, b):
@@ -59,54 +47,11 @@ def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
     return np.argmin(metrics, axis=2).astype(np.int64)
 
 
-# The loop below is plain Python so that tests can run it without numba; when
-# numba imports it is compiled as _joint_argmin_numba.
-
-def _joint_argmin_loop(u, gram, xc, sqrt_rho):
-    B, N, K = u.shape
-    G = gram.shape[1]
-    C = xc.shape[0]
-    rho = sqrt_rho * sqrt_rho
-    out = np.empty((B, K), dtype=np.int64)
-    quad = np.empty((G, C))
-    for b in range(B):
-        for g in range(G):
-            for c in range(C):
-                acc = 0.0
-                for s in range(N):
-                    for p in range(N):
-                        acc += (gram[b, g, s, p] * xc[c, s] * np.conj(xc[c, p])).real
-                quad[g, c] = acc
-        for t in range(K):
-            g = t % G
-            best = 0
-            best_m = np.inf
-            for c in range(C):
-                lin = 0.0
-                for s in range(N):
-                    lin += (u[b, s, t] * np.conj(xc[c, s])).real
-                m = -4.0 * sqrt_rho * lin + 2.0 * rho * quad[g, c]
-                if m < best_m:
-                    best_m = m
-                    best = c
-            out[b, t] = best
-    return out
-
-
-if _HAVE_NUMBA:
-    _joint_argmin_numba = njit(cache=True)(_joint_argmin_loop)
-
-
 def joint_argmin(u, gram, xc, sqrt_rho):
     """Batched exact-slot-metric candidate argmin; returns (B, K) candidate indices.
 
     gram is (B, K, N, N) or, when every slot shares one Gram matrix, (B, 1, N, N).
     """
-    if numba_enabled():
-        return _joint_argmin_numba(
-            np.ascontiguousarray(u), np.ascontiguousarray(gram),
-            np.ascontiguousarray(xc), float(sqrt_rho),
-        )
     return _joint_argmin_numpy(u, gram, xc, float(sqrt_rho))
 
 
@@ -115,7 +60,7 @@ def afost_argmin(y, F, xc):
 
     y: (B,M,K), F: (B,M,N), xc: (C,N).  Since ||y_t - F x||^2 =
     ||y_t||^2 - 2 Re(x^H F^H y_t) + ||F x||^2, this is joint_argmin's search
-    with u = F^H y, Gram = F^T F* and sqrt_rho = 1, on the numpy path.
+    with u = F^H y, Gram = F^T F* and sqrt_rho = 1.
     """
     u = F.conj().transpose(0, 2, 1) @ y                             # (B, N, K)
     gram = F.transpose(0, 2, 1) @ F.conj()                          # (B, N, N)

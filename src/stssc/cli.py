@@ -12,6 +12,7 @@ no CSV, no .tmp file and no worker process.
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .batch import SCHEMES
@@ -27,6 +28,8 @@ def _parse_snr(text: str) -> tuple:
     try:
         if ":" in text:
             a, step, b = (float(x) for x in text.split(":"))
+            if not all(map(math.isfinite, (a, step, b))):
+                raise ValueError("start, step and stop must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
             out = []

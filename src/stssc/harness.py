@@ -71,6 +71,13 @@ class SimRecord:
     config_hash: str
 
 
+def _check_snr(snr_db_list) -> None:
+    if not all(np.isfinite(s) for s in snr_db_list):
+        raise ConfigurationError("SNR values must be finite")
+    if max(abs(s) for s in snr_db_list) > MAX_SNR_DB:
+        raise ConfigurationError(f"SNR values must lie within +-{MAX_SNR_DB:g} dB")
+
+
 def validate(config: SimConfig) -> SimConfig:
     cfg = config.resolved()
     if cfg.scheme not in SCHEMES:
@@ -90,10 +97,7 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError("packet length must be positive")
     if not cfg.snr_db_list:
         raise ConfigurationError("SNR list must be nonempty")
-    if not all(np.isfinite(s) for s in cfg.snr_db_list):
-        raise ConfigurationError("SNR values must be finite")
-    if max(abs(s) for s in cfg.snr_db_list) > MAX_SNR_DB:
-        raise ConfigurationError(f"SNR values must lie within +-{MAX_SNR_DB:g} dB")
+    _check_snr(cfg.snr_db_list)
     if cfg.seed < 0:
         raise ConfigurationError("seed must be nonnegative")
     if cfg.workers < 1:
@@ -256,7 +260,9 @@ def _record(cfg: SimConfig, snr_db: float, point_index: int, totals) -> SimRecor
 
 def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimRecord:
     """Simulate one SNR point: `packets` packet sets, errors counted at destination 0."""
-    return _run_points(validate(config), [(point_index, snr_db)])[0]
+    cfg = validate(config)
+    _check_snr([snr_db])
+    return _run_points(cfg, [(point_index, snr_db)])[0]
 
 
 def run_sweep(config: SimConfig) -> list[SimRecord]:
@@ -302,17 +308,31 @@ def _binomial_stderr(p: float, n: int) -> float:
     return float(np.sqrt(p * (1.0 - p) / n))
 
 
-def read_csv(path) -> list[dict]:
+def read_csv(path, required=()) -> list[dict]:
+    """The rows of a CSV as dicts; a missing required column is a ConfigurationError."""
     with open(path) as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = [name for name in required if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigurationError(f"{os.fspath(path)} has no {', '.join(missing)} column")
+        return [dict(row) for row in reader]
 
 
 def compare_runs(paths, out_path) -> list[list[str]]:
-    """Overlay several runs on a shared SNR grid into one wide plot-data table."""
-    runs = []
+    """Overlay several runs on a shared SNR grid into one wide plot-data table.
+
+    Each run is labelled by its file name without the extension; two inputs
+    with the same label are a ConfigurationError, as their columns would clash.
+    """
+    runs, label_paths = [], {}
     for path in paths:
         label = os.path.splitext(os.path.basename(path))[0]
-        runs.append((label, read_csv(path)))
+        if label in label_paths:
+            raise ConfigurationError(
+                f"{label_paths[label]} and {os.fspath(path)} share the label {label!r}"
+            )
+        label_paths[label] = os.fspath(path)
+        runs.append((label, read_csv(path, required=("snr_db", "ber", "throughput_bps"))))
     grids = [[row["snr_db"] for row in rows] for _, rows in runs]
     ref = grids[0]
     for (label, _), grid in zip(runs[1:], grids[1:]):

@@ -30,6 +30,10 @@ def test_parse_snr_range_and_list():
         _parse_snr("0:-1:10")
     with pytest.raises(ConfigurationError):
         _parse_snr("abc")
+    # an infinite bound would never end the range, a nan step would end it at once
+    for text in ("0:1:inf", "inf:1:inf", "-inf:1:0", "0:nan:10"):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            _parse_snr(text)
 
 
 def test_read_config_file(tmp_path):
@@ -126,6 +130,12 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", "--scheme", "direct", "--code", "alamouti",
                  "--relays", "5", "--snr", "0", "-o", str(tmp_path / "x.csv")]) == 1
     assert main(["run", "--scheme", "bogus", "-o", str(tmp_path / "x.csv")]) == 1
+    assert main(["run", "--snr=0:1:inf", "-o", str(tmp_path / "x.csv")]) == 1
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "run.csv").write_text("snr_db,ber,throughput_bps\n0,0.5,0\n")
+    assert main(["compare", str(tmp_path / "a" / "run.csv"), str(tmp_path / "b" / "run.csv"),
+                 "-o", str(tmp_path / "cmp.csv")]) == 1
     # I/O error -> 2
     assert main(["run", "--scheme", "direct", "--code", "alamouti", "--snr", "0",
                  "--packets", "5", "--packet-bits", "10", "--seed", "1",

@@ -72,6 +72,14 @@ def test_validate_rejects_bad_configs():
     validate(SimConfig(snr_db_list=(10.0,)))
 
 
+def test_run_point_rejects_bad_snr():
+    # validate's SNR rules hold for run_point's own SNR too
+    cfg = SimConfig(packets=2, packet_bits=20)
+    for snr_db in (np.nan, np.inf, -np.inf, MAX_SNR_DB + 1, 5000.0, -5000.0):
+        with pytest.raises(ConfigurationError):
+            run_point(cfg, snr_db)
+
+
 def test_config_hash_ignores_workers_and_output():
     a = SimConfig(workers=1, output_path="a.csv")
     b = SimConfig(workers=8, output_path="b.csv")
@@ -341,6 +349,30 @@ def test_compare_runs_grid_mismatch(tmp_path):
     emit_csv(run_sweep(cfg2), str(p2))
     with pytest.raises(ConfigurationError):
         compare_runs([str(p1), str(p2)], str(tmp_path / "cmp.csv"))
+
+
+def test_compare_runs_rejects_clashing_labels(tmp_path):
+    cfg = SimConfig(scheme="direct", code="alamouti", seed=5, **SMALL)
+    paths = [tmp_path / "a" / "run.csv", tmp_path / "b" / "run.csv"]
+    for path in paths:
+        path.parent.mkdir()
+        emit_csv(run_sweep(cfg), path)
+    with pytest.raises(ConfigurationError, match="share the label 'run'"):
+        compare_runs(paths, tmp_path / "cmp.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a", "b"]
+
+
+@pytest.mark.parametrize("text", ["", "ber,throughput_bps\n0.5,0\n", "snr_db,ber\n0,0.5\n"],
+                         ids=["empty", "no-snr_db", "no-throughput_bps"])
+def test_compare_runs_names_file_and_missing_column(tmp_path, text):
+    good = tmp_path / "good.csv"
+    emit_csv(run_sweep(SimConfig(scheme="direct", code="alamouti", seed=5, **SMALL)), good)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    missing = [c for c in ("snr_db", "ber", "throughput_bps") if c not in text]
+    with pytest.raises(ConfigurationError, match=f"bad.csv has no {', '.join(missing)} column"):
+        compare_runs([good, bad], tmp_path / "cmp.csv")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.csv", "good.csv"]
 
 
 # small valid configs, and the same with one field set to an invalid or

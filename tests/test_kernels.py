@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -22,56 +17,26 @@ def random_problem(rng, B=40, N=2, K=2, M=3):
     return u, gram, y, F, xc
 
 
-def test_numba_available_by_default(monkeypatch):
-    # numba is detected exactly when it imports, and then used unless disabled
-    try:
-        import numba  # noqa: F401
-        importable = True
-    except ImportError:
-        importable = False
-    assert _kernels._HAVE_NUMBA == importable
-    monkeypatch.delenv("STSSC_NO_NUMBA", raising=False)
-    assert _kernels.numba_enabled() == _kernels._HAVE_NUMBA
-
-
-def test_env_flag_disables_numba(monkeypatch):
-    # checks the flag parsing only: stands in for "numba detected", imports nothing
-    monkeypatch.setattr(_kernels, "_HAVE_NUMBA", True)
-    monkeypatch.setenv("STSSC_NO_NUMBA", "1")
-    assert not _kernels.numba_enabled()
-    monkeypatch.setenv("STSSC_NO_NUMBA", "0")
-    assert _kernels.numba_enabled()
-    monkeypatch.delenv("STSSC_NO_NUMBA")
-    assert _kernels.numba_enabled()
-
-
-def test_joint_argmin_paths_identical():
-    pytest.importorskip("numba")
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        u, gram, _, _, xc = random_problem(rng)
-        a = _kernels._joint_argmin_numba(
-            np.ascontiguousarray(u), np.ascontiguousarray(gram),
-            np.ascontiguousarray(xc), 2.0,
-        )
-        b = _kernels._joint_argmin_numpy(u, gram, xc, 2.0)
-        np.testing.assert_array_equal(a, b)
+def dense_reference(u, gram, xc, sqrt_rho):
+    # every candidate's slot metric -4 sqrt(rho) Re(x^H u_t) + 2 rho Re(x^T G x*),
+    # as dense einsums; first candidate of least metric
+    lin = np.einsum("bnk,cn->bkc", u, xc.conj()).real
+    quad = np.einsum("bgsp,cs,cp->bgc", gram, xc, xc.conj()).real
+    return np.argmin(-4.0 * sqrt_rho * lin + 2.0 * sqrt_rho**2 * quad, axis=2)
 
 
 @pytest.mark.parametrize("shared_gram", [False, True])
-def test_loops_match_numpy_kernels(shared_gram):
-    # the loops numba compiles, run as plain Python on every machine
+def test_joint_argmin_matches_dense_reference(shared_gram):
     rng = np.random.default_rng(3)
-    for N, K in ((2, 2), (3, 3)):
-        u, gram, _, _, xc = random_problem(rng, B=6, N=N, K=K)
+    for N in (2, 3, 4):
+        u, gram, _, _, xc = random_problem(rng, B=200, N=N, K=N)
         if shared_gram:
             gram = gram[:, :1]
-        else:                                   # a different Gram per slot
-            gram = gram * rng.uniform(0.2, 5.0, size=(6, K, 1, 1))
-        np.testing.assert_array_equal(
-            _kernels._joint_argmin_loop(u, gram, xc, 2.0),
-            _kernels._joint_argmin_numpy(u, gram, xc, 2.0),
-        )
+        else:                                   # an independent Gram per slot
+            h = rng.normal(size=(200, N, N)) + 1j * rng.normal(size=(200, N, N))
+            gram = np.einsum("bks,bkp->bksp", h, h.conj())
+        np.testing.assert_array_equal(_kernels.joint_argmin(u, gram, xc, 2.0),
+                                      dense_reference(u, gram, xc, 2.0))
 
 
 def test_shared_gram_matches_repeated_gram():
@@ -135,55 +100,9 @@ def test_afost_argmin_picks_a_nearest_candidate_on_signed_unit_gains():
         np.testing.assert_array_equal(idx[unique], afost_broadcast(y, F, xc)[unique])
 
 
-def tied_problem():
-    # all-zero statistics tie every candidate; every path must pick index 0
+def test_tie_break_keeps_first_minimum():
+    # all-zero statistics tie every candidate: the search keeps index 0
     xc = enumerate_candidates(get_constellation("qpsk"), 2)
     u = np.zeros((1, 2, 2), dtype=complex)
     gram = np.zeros((1, 2, 2, 2), dtype=complex)
-    return u, gram, xc
-
-
-def test_tie_break_keeps_first_minimum():
-    u, gram, xc = tied_problem()
     np.testing.assert_array_equal(_kernels._joint_argmin_numpy(u, gram, xc, 1.0), 0)
-    np.testing.assert_array_equal(_kernels._joint_argmin_loop(u, gram, xc, 1.0), 0)
-
-
-def test_tie_break_keeps_first_minimum_numba():
-    pytest.importorskip("numba")
-    u, gram, xc = tied_problem()
-    np.testing.assert_array_equal(
-        _kernels._joint_argmin_numba(u, gram, np.ascontiguousarray(xc), 1.0), 0
-    )
-
-
-def test_simulation_identical_under_env_flag():
-    # the same seeded point must produce identical counts with numba disabled
-    code = (
-        "from stssc.harness import SimConfig, run_point;"
-        "r = run_point(SimConfig(scheme='stssc', code='alamouti', packets=20,"
-        " packet_bits=100, seed=5), 10.0);"
-        "print(r.bit_errors, r.packet_errors, r.slots_total)"
-    )
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(os.environ, STSSC_NO_NUMBA=flag)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, check=True)
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-
-
-def test_bench_kernels_without_numba_prints_one_line():
-    # the benchmark script run as __main__ with numba made unimportable
-    root = Path(__file__).resolve().parents[1]
-    script = root / "benchmarks" / "bench_kernels.py"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
-    code = ("import runpy, sys; sys.modules['numba'] = None;"
-            f"runpy.run_path({str(script)!r}, run_name='__main__')")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and "needs numba" in proc.stderr
