@@ -22,6 +22,12 @@ from .errors import ConfigurationError
 from .harness import SimConfig, emit_csv, compare_runs, run_sweep
 from .modem import CONSTELLATION_NAMES, KAPPA_MODES
 
+# Most points an 'a:step:b' range may hold.  Each point is a whole Monte Carlo
+# run (the paper's sweep has 16), so a longer range is a mistyped step, yet this
+# many still parse in milliseconds.  The cap also ends a range whose step is
+# too small to move its float at all.
+MAX_SNR_POINTS = 100_000
+
 
 def _parse_snr(text: str) -> tuple:
     """Accept 'a:step:b' (inclusive) or a comma-separated list."""
@@ -35,6 +41,8 @@ def _parse_snr(text: str) -> tuple:
             out = []
             v = a
             while v <= b + 1e-9:
+                if len(out) == MAX_SNR_POINTS:
+                    raise ValueError(f"a range may hold at most {MAX_SNR_POINTS} points")
                 out.append(round(v, 10))
                 v += step
             return tuple(out)
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 # run options: SimConfig's fields (snr_db_list is spelled "snr") and the CLI-only stderr
 _DEFAULTS = {
     ("snr" if f.name == "snr_db_list" else f.name): f.default
-    for f in dataclasses.fields(SimConfig) if f.name != "output_path"
+    for f in dataclasses.fields(SimConfig)
 }
 _DEFAULTS["stderr"] = False
 
@@ -149,7 +157,7 @@ def _cmd_run(args) -> int:
     opts = _merge_run_options(args)
     stderr = opts.pop("stderr")
     opts["snr_db_list"] = tuple(opts.pop("snr"))
-    config = SimConfig(**opts, output_path=args.output)
+    config = SimConfig(**opts)
     records = run_sweep(config)
     emit_csv(records, args.output, extra_stderr=stderr)
     for rec in records:

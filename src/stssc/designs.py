@@ -21,20 +21,8 @@ Catalog:
   c34       T=4 M=3 K=3   rate-3/4 complex design for three relays
   c44       T=4 M=4 K=4   full-rate real design (BPSK/PAM only)
 
-The c34 representative is the first three columns of the classic rate-3/4
-design for four antennas:
-
-    [  x1    x2    x3  ]
-    [ -x2*   x1*   0   ]
-    [ -x3*   0     x1* ]
-    [  0    -x3*   x2* ]
-
-The c44 representative is the quaternionic real design:
-
-    [  x1   x2   x3   x4 ]
-    [ -x2   x1  -x4   x3 ]
-    [ -x3   x4   x1  -x2 ]
-    [ -x4  -x3   x2   x1 ]
+_CATALOG writes each code as its codeword matrix G(x), one string per
+slot; A, B and the slot/sign/conjugated tables are all read from it.
 """
 
 from dataclasses import dataclass
@@ -43,7 +31,23 @@ import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
-DESIGN_NAMES = ("alamouti", "c34", "c44")
+# name -> (codeword rows, real_only).  A cell is 0 or a signed symbol number,
+# conjugated when starred: "-2*" in row tau, column r means relay r sends
+# -conj(x2) in slot tau.  c34 is the first three columns of the classic
+# rate-3/4 four-antenna design; c44 is the quaternionic real design.
+_CATALOG = {
+    "alamouti": (("+1 +2",
+                  "-2* +1*"), False),
+    "c34": (("+1 +2 +3",
+             "-2* +1* 0",
+             "-3* 0 +1*",
+             "0 -3* +2*"), False),
+    "c44": (("+1 +2 +3 +4",
+             "-2 +1 -4 +3",
+             "-3 +4 +1 -2",
+             "-4 -3 +2 +1"), True),
+}
+DESIGN_NAMES = tuple(_CATALOG)
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,6 @@ class OrthogonalDesign:
     sign: np.ndarray
     conjugated: np.ndarray
 
-    @property
-    def rate(self) -> float:
-        return self.K / self.T
-
     def __post_init__(self):
         weights = (np.sum(np.abs(self.A) ** 2, axis=1) + np.sum(np.abs(self.B) ** 2, axis=1)).real
         object.__setattr__(self, "_column_weights", weights)
@@ -85,89 +85,34 @@ class OrthogonalDesign:
         return self._column_weights
 
 
-def _alamouti() -> OrthogonalDesign:
-    T, M, K = 2, 2, 2
-    A = np.zeros((K, T, M), dtype=complex)
-    B = np.zeros((K, T, M), dtype=complex)
-    # G(x) = [[x1, x2], [-x2*, x1*]]
-    A[0, 0, 0] = 1
-    B[0, 1, 1] = 1
-    A[1, 0, 1] = 1
-    B[1, 1, 0] = -1
-    return _finish("alamouti", T, M, K, A, B, real_only=False)
+def _build(name: str, rows, real_only: bool) -> OrthogonalDesign:
+    """Read a codeword table cell by cell into A, B and the slot/sign/conjugated tables.
 
-
-def _c34() -> OrthogonalDesign:
-    T, M, K = 4, 3, 3
-    A = np.zeros((K, T, M), dtype=complex)
-    B = np.zeros((K, T, M), dtype=complex)
-    # column 0: (x1, -x2*, -x3*, 0)
-    A[0, 0, 0] = 1
-    B[1, 1, 0] = -1
-    B[2, 2, 0] = -1
-    # column 1: (x2, x1*, 0, -x3*)
-    A[1, 0, 1] = 1
-    B[0, 1, 1] = 1
-    B[2, 3, 1] = -1
-    # column 2: (x3, 0, x1*, x2*)
-    A[2, 0, 2] = 1
-    B[0, 2, 2] = 1
-    B[1, 3, 2] = 1
-    return _finish("c34", T, M, K, A, B, real_only=False)
-
-
-def _c44() -> OrthogonalDesign:
-    T, M, K = 4, 4, 4
-    A = np.zeros((K, T, M), dtype=complex)
-    B = np.zeros((K, T, M), dtype=complex)
-    # G rows (tau) x columns (r), entry = sign * x_{t+1}
-    placement = {
-        # tau, r, t, sign
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, -1), (1, 1): (0, 1), (1, 2): (3, -1), (1, 3): (2, 1),
-        (2, 0): (2, -1), (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, -1),
-        (3, 0): (3, -1), (3, 1): (2, -1), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-    for (tau, r), (t, sign) in placement.items():
-        A[t, tau, r] = sign
-    return _finish("c44", T, M, K, A, B, real_only=True)
-
-
-def _finish(name, T, M, K, A, B, real_only) -> OrthogonalDesign:
-    d = (np.einsum("tij,tij->t", A.conj(), A) + np.einsum("tij,tij->t", B.conj(), B)).real
-    slot, sign, conjugated = _signed_permutation(name, A, B)
-    return OrthogonalDesign(name=name, T=T, M=M, K=K, A=A, B=B, d=d, real_only=real_only,
-                            slot=slot, sign=sign, conjugated=conjugated)
-
-
-def _signed_permutation(name, A, B):
-    """(M, K) slot, sign and conjugated tables of a signed-permutation design.
-
-    Raises ConfigurationError unless every (symbol, relay) pair has exactly
-    one nonzero entry over A and B, that entry is +-1, and no two symbols
-    share a slot of one relay.
+    Raises ConfigurationError unless every relay's column carries every
+    symbol exactly once.
     """
-    K, _, M = A.shape
-    AB = np.stack([A, B])                                           # (2, K, T, M)
-    nonzero = AB != 0
-    if not (np.all(nonzero.sum(axis=(0, 2)) == 1) and np.all(np.isin(AB[nonzero], (1, -1)))):
-        raise ConfigurationError(
-            f"design {name!r} is not a signed permutation: each (symbol, relay) "
-            "needs exactly one +-1 entry in A or B"
-        )
-    part, t, tau, r = np.nonzero(nonzero)
-    slot = np.empty((M, K), dtype=np.int64)
+    T, M = len(rows), len(rows[0].split())
+    K = max(int(cell.strip("+-*")) for row in rows for cell in row.split())
+    A = np.zeros((K, T, M), dtype=complex)
+    B = np.zeros((K, T, M), dtype=complex)
+    slot = np.full((M, K), -1, dtype=np.int64)
     sign = np.empty((M, K))
     conjugated = np.empty((M, K), dtype=bool)
-    slot[r, t] = tau
-    sign[r, t] = AB[part, t, tau, r].real
-    conjugated[r, t] = part == 1
-    if any(len(set(row)) < K for row in slot):
-        raise ConfigurationError(f"design {name!r} places two symbols in one slot of a relay")
-    return slot, sign, conjugated
-
-
-_BUILDERS = {"alamouti": _alamouti, "c34": _c34, "c44": _c44}
+    for tau, row in enumerate(rows):
+        for r, cell in enumerate(row.split()):
+            if cell == "0":
+                continue
+            t = int(cell.strip("+-*")) - 1
+            if slot[r, t] >= 0:
+                raise ConfigurationError(f"design {name!r} has x{t + 1} twice on relay {r + 1}")
+            slot[r, t], sign[r, t], conjugated[r, t] = tau, float(cell[0] + "1"), cell[-1] == "*"
+            (B if conjugated[r, t] else A)[t, tau, r] = sign[r, t]
+    if np.any(slot < 0):
+        r, t = np.argwhere(slot < 0)[0]
+        raise ConfigurationError(f"design {name!r} lacks x{t + 1} on relay {r + 1}")
+    d = (np.einsum("tij,tij->t", A.conj(), A) + np.einsum("tij,tij->t", B.conj(), B)).real
+    return OrthogonalDesign(name=name, T=T, M=M, K=K, A=A, B=B, d=d, real_only=real_only,
+                            slot=slot, sign=sign, conjugated=conjugated)
 
 
 def build_design(name: str) -> OrthogonalDesign:
@@ -176,12 +121,12 @@ def build_design(name: str) -> OrthogonalDesign:
     Raises ConfigurationError for unknown names, listing the valid set.
     """
     try:
-        builder = _BUILDERS[name]
+        rows, real_only = _CATALOG[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown code {name!r}; valid codes: {', '.join(DESIGN_NAMES)}"
         ) from None
-    return builder()
+    return _build(name, rows, real_only)
 
 
 def codeword(design: OrthogonalDesign, x) -> np.ndarray:

@@ -45,7 +45,6 @@ class SimConfig:
     workers: int = 1
     noiseless: bool = False
     phases_override: int | None = None      # slots charged per block, overriding the scheme rule
-    output_path: str | None = None
 
     def resolved(self) -> "SimConfig":
         """Fill code-dependent defaults: M = design columns, N = M, mod per code."""
@@ -119,12 +118,11 @@ def validate(config: SimConfig) -> SimConfig:
 def config_hash(config: SimConfig) -> str:
     """Stable short hash of the result-determining config fields.
 
-    workers and output_path are excluded: they must not affect results.
+    workers is excluded: it must not affect results.
     """
     cfg = config.resolved()
     fields = asdict(cfg)
     fields.pop("workers")
-    fields.pop("output_path")
     fields["snr_db_list"] = [float(s) for s in fields["snr_db_list"]]
     blob = repr(sorted(fields.items())).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -309,13 +307,26 @@ def _binomial_stderr(p: float, n: int) -> float:
 
 
 def read_csv(path, required=()) -> list[dict]:
-    """The rows of a CSV as dicts; a missing required column is a ConfigurationError."""
+    """The rows of a CSV as dicts, blank lines skipped.
+
+    A missing required column, or a row with more or fewer cells than the
+    header, is a ConfigurationError naming the file (and the row's line).
+    """
     with open(path) as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in required if name not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in required if name not in header]
         if missing:
             raise ConfigurationError(f"{os.fspath(path)} has no {', '.join(missing)} column")
-        return [dict(row) for row in reader]
+        rows = []
+        for cells in filter(None, reader):
+            if len(cells) != len(header):
+                raise ConfigurationError(
+                    f"{os.fspath(path)}:{reader.line_num}: {len(cells)} cells under a "
+                    f"{len(header)}-column header"
+                )
+            rows.append(dict(zip(header, cells)))
+        return rows
 
 
 def compare_runs(paths, out_path) -> list[list[str]]:

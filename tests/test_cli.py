@@ -34,6 +34,11 @@ def test_parse_snr_range_and_list():
     for text in ("0:1:inf", "inf:1:inf", "-inf:1:0", "0:nan:10"):
         with pytest.raises(ConfigurationError, match="must be finite"):
             _parse_snr(text)
+    # a step too small for the range, or too small to move its float at all
+    assert len(_parse_snr(f"1:1:{cli.MAX_SNR_POINTS}")) == cli.MAX_SNR_POINTS
+    for text in (f"1:1:{cli.MAX_SNR_POINTS + 1}", "0:1e-9:10", "1e10:1e-7:1e10"):
+        with pytest.raises(ConfigurationError, match="at most"):
+            _parse_snr(text)
 
 
 def test_read_config_file(tmp_path):
@@ -114,6 +119,17 @@ def test_compare_command(tmp_path, capsys):
     assert main(["compare", str(a), str(b), "-o", str(out)]) == 0
     header = out.read_text().splitlines()[0]
     assert header == "snr_db,x_ber,y_ber,x_throughput_bps,y_throughput_bps"
+
+
+@pytest.mark.parametrize("row", ["0,0.5", "0,0.5,7,1"], ids=["short", "long"])
+def test_compare_rejects_row_off_the_header(tmp_path, capsys, row):
+    ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+    ok.write_text("snr_db,ber,throughput_bps\n0,0.4,7\n")
+    bad.write_text(f"snr_db,ber,throughput_bps\n\n{row}\n")
+    assert main(["compare", str(ok), str(bad), "-o", str(tmp_path / "cmp.csv")]) == 1
+    cells = len(row.split(","))
+    assert f"bad.csv:3: {cells} cells under a 3-column header" in capsys.readouterr().err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.csv", "ok.csv"]
 
 
 def test_dump_design_command(capsys):

@@ -4,7 +4,7 @@ import pytest
 from stssc.batch import relay_encode
 from stssc.designs import (
     DESIGN_NAMES,
-    _finish,
+    _build,
     build_design,
     codeword,
     format_design,
@@ -125,12 +125,107 @@ def test_design_arrays_immutable():
         d.A[0, 0, 0] = 5
 
 
+# format_design's text for every catalog code, pinned in full: which of A or
+# B holds an entry, its sign and its slot all decide the decoder's statistics
+FORMATTED = {
+    "alamouti": """\
+alamouti: T=2 M=2 K=2 rate=2/2 real_only=False
+d = [2, 2]
+A_1 =
+  [+1  0]
+  [0  0]
+B_1 =
+  [0  0]
+  [0  +1]
+A_2 =
+  [0  +1]
+  [0  0]
+B_2 =
+  [0  0]
+  [-1  0]""",
+    "c34": """\
+c34: T=4 M=3 K=3 rate=3/4 real_only=False
+d = [3, 3, 3]
+A_1 =
+  [+1  0  0]
+  [0  0  0]
+  [0  0  0]
+  [0  0  0]
+B_1 =
+  [0  0  0]
+  [0  +1  0]
+  [0  0  +1]
+  [0  0  0]
+A_2 =
+  [0  +1  0]
+  [0  0  0]
+  [0  0  0]
+  [0  0  0]
+B_2 =
+  [0  0  0]
+  [-1  0  0]
+  [0  0  0]
+  [0  0  +1]
+A_3 =
+  [0  0  +1]
+  [0  0  0]
+  [0  0  0]
+  [0  0  0]
+B_3 =
+  [0  0  0]
+  [0  0  0]
+  [-1  0  0]
+  [0  -1  0]""",
+    "c44": """\
+c44: T=4 M=4 K=4 rate=4/4 real_only=True
+d = [4, 4, 4, 4]
+A_1 =
+  [+1  0  0  0]
+  [0  +1  0  0]
+  [0  0  +1  0]
+  [0  0  0  +1]
+B_1 =
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+A_2 =
+  [0  +1  0  0]
+  [-1  0  0  0]
+  [0  0  0  -1]
+  [0  0  +1  0]
+B_2 =
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+A_3 =
+  [0  0  +1  0]
+  [0  0  0  +1]
+  [-1  0  0  0]
+  [0  -1  0  0]
+B_3 =
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+A_4 =
+  [0  0  0  +1]
+  [0  0  -1  0]
+  [0  +1  0  0]
+  [-1  0  0  0]
+B_4 =
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]
+  [0  0  0  0]""",
+}
+
+
 def test_format_design_is_exact_text():
-    text = format_design(build_design("alamouti"))
-    assert "alamouti: T=2 M=2 K=2 rate=2/2" in text
-    assert "d = [2, 2]" in text
-    assert "B_2 =" in text
-    assert "[-1  0]" in text
+    assert set(FORMATTED) == set(DESIGN_NAMES)
+    for name, text in FORMATTED.items():
+        assert format_design(build_design(name)) == text
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)
@@ -165,15 +260,12 @@ def test_relay_encode_equals_codeword_bit_for_bit(name):
 
 
 def test_non_signed_permutation_rejected():
-    base = build_design("alamouti")
-    scaled = base.A.copy()
-    scaled[0, 0, 0] = 2                                             # entry not +-1
-    doubled = base.A.copy()
-    doubled[0, 1, 0] = 1                                            # x1 twice on relay 1
-    missing = base.A.copy()
-    missing[0, 0, 0] = 0                                            # x1 never on relay 1
-    shared = base.A.copy()
-    shared[0, 0, 0], shared[0, 1, 0] = 0, 1                         # x1 in x2*'s slot
-    for A in (scaled, doubled, missing, shared):
-        with pytest.raises(ConfigurationError):
-            _finish("bad", base.T, base.M, base.K, A, base.B.copy(), real_only=False)
+    # a codeword table cannot write an entry other than +-1 or two symbols in
+    # one slot of a relay; what it can get wrong is a relay column's symbol set
+    _build("good", ("+1 +2", "-2* +1*"), real_only=False)
+    for rows, match in (
+        (("+1 +2", "+1* +1*"), "x1 twice on relay 1"),
+        (("+1 +2", "0 +1*"), "lacks x2 on relay 1"),
+    ):
+        with pytest.raises(ConfigurationError, match=match):
+            _build("bad", rows, real_only=False)

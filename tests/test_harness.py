@@ -81,8 +81,10 @@ def test_run_point_rejects_bad_snr():
 
 
 def test_config_hash_ignores_workers_and_output():
-    a = SimConfig(workers=1, output_path="a.csv")
-    b = SimConfig(workers=8, output_path="b.csv")
+    # the output path is no config field; test_cli's determinism test writes
+    # one run to two paths and compares the bytes, config_hash included
+    a = SimConfig(workers=1)
+    b = SimConfig(workers=8)
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(SimConfig(seed=1))
     assert config_hash(SimConfig()) == config_hash(SimConfig().resolved())
