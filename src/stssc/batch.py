@@ -3,8 +3,9 @@
 One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
-own generator, and runs the arithmetic once on all their blocks stacked
-as batched numpy arrays.  stssc and afost share the relay gain rule
+own generator.  It keeps the raw variates of all their blocks and runs
+the arithmetic on batched numpy arrays one tile of blocks at a time, so
+the symbols, gains and noise exist only for one tile.  stssc and afost share the relay gain rule
 (schemes.af_gains) and the candidate search (stssc._kernels).  The test
 suite checks the afost, dstc and direct baselines against dense
 per-block references replayed from the same random stream, and stssc's
@@ -33,21 +34,23 @@ from math import ceil, sqrt
 import numpy as np
 
 from . import _kernels
-from .channel import _complex_noise, _gains, _set_sampler
+from .channel import _complex_noise, _gain_methods, _gains, _set_sampler
 from .decoder import enumerate_candidates, first_source_index
 from .designs import OrthogonalDesign
-# demap_hard is unused here, since bits come from decision indices; it stays
-# bound because perfbench's tracer wraps batch.demap_hard by name
+# demap_hard and modulate are unused here, since bits come from decision
+# indices and symbols from point indices; they stay bound because
+# perfbench's tracer wraps batch.demap_hard and batch.modulate by name
 from .modem import (
     Constellation, _pad_bits, demap_hard, kappa_for, label_bits, modulate, nearest_index,
-    nearest_points,
+    nearest_points, point_index,
 )
 from .schemes import af_gains
 
 # coherence blocks per unit of batched work: the harness simulates packet sets
-# in groups of at most this many blocks (at least one set), and the stssc
-# chain runs its relay-to-decision arithmetic in tiles of this many blocks, so
-# that the arrays past the random draws do not grow with the packet set
+# in groups of at most this many blocks (at least one set), and
+# simulate_packet_set forms symbols, gains and noise and runs every scheme's
+# arithmetic in tiles of this many blocks, so that only the raw random draws
+# grow with the packet set
 BLOCK_BUDGET = 1024
 
 SLOT_RULES = {
@@ -57,6 +60,19 @@ SLOT_RULES = {
     "direct": lambda N, M, K, T: N * K,
 }
 SCHEMES = tuple(SLOT_RULES)
+
+# the draws after the bits, in draw order: (per-block shape, kind); a gain
+# takes channel._gain_methods' variates, noise two normals (none when
+# sigma2 = 0)
+DRAW_RULES = {
+    "stssc": lambda N, M, K, T: (((N, M), "gain"), ((M,), "gain"),
+                                 ((M, K), "noise"), ((M, T), "noise")),
+    "afost": lambda N, M, K, T: (((N, M), "gain"), ((M,), "gain"),
+                                 ((M, K), "noise"), ((M, K), "noise")),
+    "dstc": lambda N, M, K, T: (((M,), "gain"), ((M,), "gain"),
+                                ((M, K), "noise"), ((T,), "noise")),
+    "direct": lambda N, M, K, T: (((), "gain"), ((K,), "noise")),
+}
 
 
 @dataclass
@@ -154,94 +170,106 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
                                  candidates_scaled, sqrt(rho))
 
 
+def _replay(variates):
+    """draw(method) for _gains that hands back the given variates in turn."""
+    pending = iter(variates)
+    return lambda method: next(pending)
+
+
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
                         N: int, M: int, rho: float, sigma2: float, fading: str,
                         kappa_mode: str, packet_bits: int, rngs,
                         slots_per_block: int | None = None) -> SetResult:
     """Simulate one packet set per generator in rngs and total their destination-0 errors.
 
-    Set i draws from rngs[i] alone, in the order bits, gains, first noise,
-    second noise, and every block's arithmetic is independent of the other
-    blocks, so each set's errors do not depend on which sets share the call
-    or on how the stssc chain is cut into tiles.
+    Set i draws from rngs[i] alone: its bits, then the scheme's DRAW_RULES,
+    each over all its blocks.  Only source 0's bits, the symbols' point
+    indices and the raw variates are kept for the whole call; the symbols,
+    gains and noise are formed, and the scheme decides, one tile of
+    BLOCK_BUDGET blocks at a time.  Every block's arithmetic is independent
+    of the other blocks, so each set's errors do not depend on which sets
+    share the call or on how the blocks are cut into tiles.
 
     slots_per_block overrides the scheme's slot accounting rule (throughput
     escape hatch); error counting is unaffected.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     K, T = design.K, design.T
     L = packet_bits
     S = len(rngs)
+    bps = constellation.bits_per_symbol
     kappa = kappa_for(N, kappa_mode, T)
     n_blocks = blocks_per_set(design, constellation, L)
-    n_syms = ceil(L / constellation.bits_per_symbol)
+    n_syms = ceil(L / bps)
     B = S * n_blocks
 
-    def gains(shape):
-        return _gains(fading, _set_sampler(rngs, (n_blocks,) + shape)).reshape((B,) + shape)
+    bits = np.stack([rng.integers(0, 2, size=(N, L)) for rng in rngs])
+    # a padding symbol's index is constellation.size, the 0 appended to the points
+    sym = np.full((S, N, n_blocks * K), constellation.size, dtype=np.int8)
+    sym[..., :n_syms] = point_index(constellation, _pad_bits(bits, bps)).reshape(S, N, n_syms)
+    sym = sym.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3).reshape(B, N, K)
+    points = kappa * np.append(constellation.points, 0)
+    bits0 = bits[:, 0].astype(np.int8)
+    del bits
 
-    def noise(shape):
-        if sigma2 == 0:
-            return np.zeros((B,) + shape, dtype=complex)
+    normal = np.random.Generator.standard_normal
+    methods = {"gain": _gain_methods(fading), "noise": (normal, normal) if sigma2 else ()}
+    variates = []               # per draw: kind, per-block shape, (B, *shape) raw variates
+    for shape, kind in DRAW_RULES[scheme](N, M, K, T):
         draw = _set_sampler(rngs, (n_blocks,) + shape)
-        normal = np.random.Generator.standard_normal
-        return _complex_noise(sigma2, draw(normal), draw(normal)).reshape((B,) + shape)
-
-    bits = np.empty((S, N, L), dtype=np.int64)
-    for set_bits, rng in zip(bits, rngs):
-        set_bits[:] = rng.integers(0, 2, size=(N, L))
-    raw = np.zeros((S, N, n_blocks * K), dtype=complex)
-    raw[..., :n_syms] = modulate(
-        constellation, _pad_bits(bits, constellation.bits_per_symbol)
-    ).reshape(S, N, n_syms)
-    X = kappa * raw.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3).reshape(B, N, K)
+        variates.append((kind, shape, [draw(m).reshape((B,) + shape) for m in methods[kind]]))
 
     if scheme in ("stssc", "afost"):
-        hSR = gains((N, M))
-        hRD = gains((M,))
         xc = kappa * enumerate_candidates(constellation, N)
+
+    def decide(X, *draws):
+        """Source 0's point indices (b, K) for a tile of b blocks and its draws."""
         if scheme == "stssc":
-            n = noise((M, K))
-            w = noise((M, T))       # drawn for the whole call, so each set keeps its order
-            idx = np.empty((B, K), dtype=np.int64)
-            for lo in range(0, B, BLOCK_BUDGET):
-                tile = slice(lo, lo + BLOCK_BUDGET)
-                idx[tile] = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], n[tile], w[tile],
-                                               design, xc, rho, sigma2)
-        else:
-            g = af_gains(hSR, rho, sigma2, source_axis=1)                           # (B, M)
-            q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + noise((M, K))
-            y = (g * hRD)[:, :, None] * q + noise((M, K))
+            idx = stssc_decode_batch(X, *draws, design, xc, rho, sigma2)
+            return first_source_index(constellation, N, idx)
+        if scheme == "afost":
+            hSR, hRD, n, w = draws
+            g = af_gains(hSR, rho, sigma2, source_axis=1)                           # (b, M)
+            q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + n
+            y = (g * hRD)[:, :, None] * q + w
             F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)
-            idx = _kernels.afost_argmin(y, F, xc)
-        decided0 = first_source_index(constellation, N, idx)         # (B, K)
+            return first_source_index(constellation, N, _kernels.afost_argmin(y, F, xc))
+        x0 = X[:, 0, :]                                                             # (b, K)
+        if scheme == "dstc":
+            # only destination 0's chain is simulated; the other sources' phases
+            # are time-orthogonal and enter the slot accounting only
+            hSR0, hRD, n, w = draws
+            q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + n
+            rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
+            cols = relay_encode(design, rd)
+            scale = sqrt(rho / M) * kappa
+            y = scale * np.einsum("br,brt->bt", hRD, cols) + w
+            heff = scale * hRD                                                      # (b, M)
+            P, Q = relay_matched_filter(design, y[:, None, :])
+            z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)  # (b, K)
+            heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
+            return nearest_index(constellation, z / heq)
+        hSD0, w = draws
+        y = sqrt(rho) * hSD0[:, None] * x0 + w
+        return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
-    elif scheme == "dstc":
-        # only destination 0's chain is simulated; the other sources' phases
-        # are time-orthogonal and enter the slot accounting only
-        hSR0 = gains((M,))
-        hRD = gains((M,))
-        x0 = X[:, 0, :]                                              # (B, K)
-        q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + noise((M, K))
-        rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
-        cols = relay_encode(design, rd)
-        scale = sqrt(rho / M) * kappa
-        y = scale * np.einsum("br,brt->bt", hRD, cols) + noise((T,))
-        heff = scale * hRD                                           # (B, M)
-        P, Q = relay_matched_filter(design, y[:, None, :])
-        z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)   # (B, K)
-        heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
-        decided0 = nearest_index(constellation, z / heq)
+    decided0 = np.empty((B, K), dtype=np.int8)
+    for lo in range(0, B, BLOCK_BUDGET):
+        tile = slice(lo, lo + BLOCK_BUDGET)
+        X = points[sym[tile]]                                                       # (b, N, K)
+        draws = []
+        for kind, shape, parts in variates:
+            parts = [part[tile] for part in parts]
+            if kind == "gain":
+                draws.append(_gains(fading, _replay(parts)))
+            elif sigma2:
+                draws.append(_complex_noise(sigma2, *parts))
+            else:
+                draws.append(np.zeros((len(X),) + shape, dtype=complex))
+        decided0[tile] = decide(X, *draws)
 
-    elif scheme == "direct":
-        hSD0 = gains(())
-        x0 = X[:, 0, :]
-        y = sqrt(rho) * hSD0[:, None] * x0 + noise((K,))
-        decided0 = nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
-
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    set_errors = set_bit_errors(constellation, decided0.reshape(S, -1), bits[:, 0])   # (S,)
+    set_errors = set_bit_errors(constellation, decided0.reshape(S, -1), bits0)   # (S,)
     per_block = slots_per_block if slots_per_block is not None else SLOT_RULES[scheme](N, M, K, T)
     return SetResult(
         bit_errors=int(set_errors.sum()), payload_bits=S * L,

@@ -36,14 +36,30 @@ class ChannelRealization:
         return self.hSR.shape[1]
 
 
-def _gains(model: str, draw) -> np.ndarray:
-    """Fading gains from draw(method), which returns variates of a Generator method."""
+def _gain_methods(model: str) -> tuple:
+    """The Generator methods whose variates _gains forms a model's gains from, in draw order."""
     if model == "rayleigh":
-        normal = np.random.Generator.standard_normal
-        return (draw(normal) + 1j * draw(normal)) / np.sqrt(2.0)
+        return (np.random.Generator.standard_normal,) * 2
     if model == "unit-mag":
-        return np.exp(2j * np.pi * draw(np.random.Generator.random))
+        return (np.random.Generator.random,)
     raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
+
+
+def _gains(model: str, draw) -> np.ndarray:
+    """Fading gains from draw(method), which returns variates of a Generator method.
+
+    A unit-mag gain e^{j 2 pi u} is written as cos and sin into the parts of
+    one complex array: the values of np.exp(2j * np.pi * u), bit for bit,
+    without its complex temporaries.
+    """
+    v = [draw(method) for method in _gain_methods(model)]
+    if model == "rayleigh":
+        return (v[0] + 1j * v[1]) / np.sqrt(2.0)
+    theta = 2 * np.pi * v[0]
+    h = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=h.real)
+    np.sin(theta, out=h.imag)
+    return h
 
 
 def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:

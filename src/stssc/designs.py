@@ -26,6 +26,7 @@ slot; A, B and the slot/sign/conjugated tables are all read from it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -115,10 +116,13 @@ def _build(name: str, rows, real_only: bool) -> OrthogonalDesign:
                             slot=slot, sign=sign, conjugated=conjugated)
 
 
+@lru_cache(maxsize=None)
 def build_design(name: str) -> OrthogonalDesign:
     """Return the catalog design with the given name.
 
-    Raises ConfigurationError for unknown names, listing the valid set.
+    Designs are immutable, so each is built once per process and the same
+    object is returned on every later call.  Raises ConfigurationError for
+    unknown names, listing the valid set.
     """
     try:
         rows, real_only = _CATALOG[name]

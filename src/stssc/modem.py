@@ -39,6 +39,11 @@ def get_constellation(name: str) -> Constellation:
 
 def modulate(c: Constellation, bits) -> np.ndarray:
     """Map bits to unit-average-energy symbols (Gray labeling)."""
+    return c.points[point_index(c, bits)]
+
+
+def point_index(c: Constellation, bits) -> np.ndarray:
+    """Point index of each symbol's bits, most significant first; the inverse of label_bits."""
     bits = np.asarray(bits, dtype=np.int64)
     if bits.size % c.bits_per_symbol:
         raise UsageError(
@@ -48,7 +53,7 @@ def modulate(c: Constellation, bits) -> np.ndarray:
     idx = groups[:, 0]
     for b in range(1, c.bits_per_symbol):
         idx = (idx << 1) | groups[:, b]
-    return c.points[idx]
+    return idx
 
 
 def demap_hard(c: Constellation, symbols) -> np.ndarray:

@@ -231,39 +231,95 @@ def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
 @pytest.mark.parametrize("n_sets", [1, 2])
 def test_stssc_tiles_do_not_change_results(monkeypatch, code, packet_bits, fading, sigma2,
                                            n_sets):
-    # QPSK sets longer than a 512-block tile: alamouti 3001 bits is 751 blocks,
-    # c34 5001 bits pads to 834; with two sets, tiles straddle the set boundary.
-    # A budget of the whole call is one tile, the untiled chain.
+    # every scheme runs in tiles of BLOCK_BUDGET blocks.  QPSK sets longer than
+    # a 512-block tile: alamouti 3001 bits is 751 blocks, c34 5001 bits pads to
+    # 834; with two sets, tiles straddle the set boundary.  A budget of the
+    # whole call is one tile, the untiled chain.
     d = build_design(code)
     c = get_constellation("qpsk")
     n_blocks = n_sets * blocks_per_set(d, c, packet_bits)
 
-    def run(budget):
+    def run(scheme, budget):
         monkeypatch.setattr(batch, "BLOCK_BUDGET", budget)
         rngs = [np.random.default_rng(s) for s in range(60, 60 + n_sets)]
-        return simulate_packet_set("stssc", d, c, d.M, d.M, 3.0, sigma2, fading, "perslot",
+        return simulate_packet_set(scheme, d, c, d.M, d.M, 3.0, sigma2, fading, "perslot",
                                    packet_bits, rngs)
 
-    whole = run(n_blocks)
-    for budget in (1, 7, 512):
-        assert run(budget) == whole
-    assert (whole.bit_errors > 0) == (sigma2 > 0)
+    for scheme in batch.SCHEMES:
+        whole = run(scheme, n_blocks)
+        for budget in (1, 7, 512):
+            assert run(scheme, budget) == whole, (scheme, budget)
+        assert (whole.bit_errors > 0) == (sigma2 > 0), scheme
+
+
+# bounds on the traced numpy peak (bytes) of one 100 000-bit unit-mag set at
+# 10 dB, which the tiles keep at the raw draws plus one tile's arrays; symbols,
+# gains and noise formed for the whole set peaked at 20.7/43.2 (stssc),
+# 65.5/76.1 (afost), 30.3/67.3 (dstc) and 13.9/24.4 MB (direct) on c34/c44
+MEMORY_BOUNDS = {
+    ("stssc", "c34"): 16e6, ("stssc", "c44"): 30e6,
+    ("afost", "c34"): 16e6, ("afost", "c44"): 30e6,
+    ("dstc", "c34"): 10e6, ("dstc", "c44"): 20e6,
+    ("direct", "c34"): 8e6, ("direct", "c44"): 12e6,
+}
 
 
 def test_long_stssc_set_memory_is_bounded():
-    # a 100 000-bit c34 QPSK set is 16 667 blocks; numpy reports its buffers to
-    # tracemalloc, and past the random draws no array spans more than one tile
-    d = build_design("c34")
-    c = get_constellation("qpsk")
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        simulate_packet_set("stssc", d, c, d.M, d.M, 10.0, 1.0, "unit-mag", "perslot",
-                            100_000, [np.random.default_rng(3)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    # every scheme on a 100 000-bit set: c34 QPSK is 16 667 blocks, c44 BPSK
+    # 25 000; numpy reports its buffers to tracemalloc
+    peaks = {}
+    for scheme, code in MEMORY_BOUNDS:
+        d = build_design(code)
+        c = constellation_for(d)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            simulate_packet_set(scheme, d, c, d.M, d.M, 10.0, 1.0, "unit-mag", "perslot",
+                                100_000, [np.random.default_rng(3)])
+            peaks[scheme, code] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {key: peak for key, peak in peaks.items() if peak >= MEMORY_BOUNDS[key]} == {}
+
+
+# (bit_errors, payload_bits, packet_error, slots) of two 5000-bit sets (seeds
+# 81 and 82) at 5 dB, N = M, as the simulator gave them before its tile loop
+# served every scheme; each call spans two or more 1024-block tiles
+PINNED_RESULTS = {
+    ("stssc", "alamouti", "unit-mag"): (2196, 10000, 2, 15000),
+    ("stssc", "alamouti", "rayleigh"): (2573, 10000, 2, 15000),
+    ("stssc", "c34", "unit-mag"): (2342, 10000, 2, 25020),
+    ("stssc", "c34", "rayleigh"): (2830, 10000, 2, 25020),
+    ("stssc", "c44", "unit-mag"): (1711, 10000, 2, 50000),
+    ("stssc", "c44", "rayleigh"): (2173, 10000, 2, 50000),
+    ("afost", "alamouti", "unit-mag"): (2164, 10000, 2, 15000),
+    ("afost", "alamouti", "rayleigh"): (2603, 10000, 2, 15000),
+    ("afost", "c34", "unit-mag"): (2303, 10000, 2, 20016),
+    ("afost", "c34", "rayleigh"): (2781, 10000, 2, 20016),
+    ("afost", "c44", "unit-mag"): (1719, 10000, 2, 50000),
+    ("afost", "c44", "rayleigh"): (2108, 10000, 2, 50000),
+    ("dstc", "alamouti", "unit-mag"): (2105, 10000, 2, 20000),
+    ("dstc", "alamouti", "rayleigh"): (2658, 10000, 2, 20000),
+    ("dstc", "c34", "unit-mag"): (2740, 10000, 2, 35028),
+    ("dstc", "c34", "rayleigh"): (3119, 10000, 2, 35028),
+    ("dstc", "c44", "unit-mag"): (1923, 10000, 2, 80000),
+    ("dstc", "c44", "rayleigh"): (2515, 10000, 2, 80000),
+    ("direct", "alamouti", "unit-mag"): (1079, 10000, 2, 10000),
+    ("direct", "alamouti", "rayleigh"): (1686, 10000, 2, 10000),
+    ("direct", "c34", "unit-mag"): (1534, 10000, 2, 15012),
+    ("direct", "c34", "rayleigh"): (2090, 10000, 2, 15012),
+    ("direct", "c44", "unit-mag"): (1041, 10000, 2, 40000),
+    ("direct", "c44", "rayleigh"): (1675, 10000, 2, 40000),
+}
+
+
+@pytest.mark.parametrize("scheme, code, fading", list(PINNED_RESULTS))
+def test_results_are_pinned(scheme, code, fading):
+    # a changed decision, random draw or slot count changes these totals
+    d = build_design(code)
+    res = simulate_packet_set(scheme, d, constellation_for(d), d.M, d.M, 10 ** 0.5, 1.0, fading,
+                              "perslot", 5000, [np.random.default_rng(s) for s in (81, 82)])
+    assert res == SetResult(*PINNED_RESULTS[scheme, code, fading])
 
 
 def test_packet_set_slot_accounting():

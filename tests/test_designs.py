@@ -23,8 +23,15 @@ def test_catalog_dimensions():
 
 
 def test_unknown_design_rejected():
-    with pytest.raises(ConfigurationError):
-        build_design("nosuch")
+    # the memo holds only built designs, so every call raises again
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="nosuch"):
+            build_design("nosuch")
+
+
+def test_build_design_returns_one_object_per_name():
+    for name in DESIGN_NAMES:
+        assert build_design(name) is build_design(name)
 
 
 def test_alamouti_codeword_basis_vectors():
