@@ -254,19 +254,24 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         y = sqrt(rho) * hSD0[:, None] * x0 + w
         return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
+    def formed(kind, shape, parts):
+        """One tile's draw from its raw variates parts: gains, noise, or zeros when sigma2 = 0."""
+        if kind == "gain":
+            return _gains(fading, _replay(parts))
+        if sigma2:
+            return _complex_noise(sigma2, *parts)
+        return np.zeros(shape, dtype=complex)
+
     decided0 = np.empty((B, K), dtype=np.int8)
     for lo in range(0, B, BLOCK_BUDGET):
         tile = slice(lo, lo + BLOCK_BUDGET)
         X = points[sym[tile]]                                                       # (b, N, K)
-        draws = []
-        for kind, shape, parts in variates:
-            parts = [part[tile] for part in parts]
-            if kind == "gain":
-                draws.append(_gains(fading, _replay(parts)))
-            elif sigma2:
-                draws.append(_complex_noise(sigma2, *parts))
-            else:
-                draws.append(np.zeros((len(X),) + shape, dtype=complex))
+        draws = [formed(kind, (len(X),) + shape, [part[tile] for part in parts])
+                 for kind, shape, parts in variates]
+        if tile.stop >= B:
+            # the last tile's draws are formed, so the raw variates can go
+            # before it decides; a one-tile call then never holds both
+            variates.clear()
         decided0[tile] = decide(X, *draws)
 
     set_errors = set_bit_errors(constellation, decided0.reshape(S, -1), bits0)   # (S,)

@@ -139,8 +139,11 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
     blocks (at least one set): enough sets to spread simulate_packet_set's
     fixed per-call costs.  Each set keeps its own generator, so grouping does
-    not change the totals.
+    not change the totals.  Serial runs and pool workers both come through
+    here, so every process that simulates first takes the heap policy of
+    _raise_malloc_thresholds.
     """
+    _raise_malloc_thresholds()
     design = build_design(cfg.code)
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
@@ -163,17 +166,18 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
 
 
 def _raise_malloc_thresholds() -> None:
-    """Pool initializer: let a worker keep its freed heap instead of returning it to the kernel.
+    """Let the simulating process keep its freed heap instead of returning it to the kernel.
 
     By default glibc gives the top of the heap back once the free space
-    there passes its trim threshold, so a worker whose calls each allocate
+    there passes its trim threshold, so a process whose calls each allocate
     and free a few megabytes of temporaries takes a minor page fault on
     every page again on the next call.  The trim threshold is raised to
     256 MiB.  Setting it also stops glibc from raising its mmap threshold
     as it sees large blocks freed, so that threshold is set too, to the
     32 MiB where glibc's own adjustment stops on 64-bit systems; otherwise
     every array over 128 KiB, such as a long packet set's draws, would be
-    mapped and unmapped on each call.
+    mapped and unmapped on each call.  The settings stay for the rest of the
+    process, so a library caller keeps its freed heap after a run too.
     Does nothing where the C library is not glibc.
     """
     import ctypes
@@ -215,8 +219,7 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
 
     With workers > 1 one pool serves every point: each point is cut into
     min(workers, packets) chunks, all chunks are queued up front, and each
-    point's totals are folded in point order; each worker first raises its
-    malloc thresholds (_raise_malloc_thresholds).  Totals are integer sums of
+    point's totals are folded in point order.  Totals are integer sums of
     per-set results seeded by (seed, point, set), so records do not depend
     on the worker count.
     """
@@ -224,8 +227,7 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
         totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
     else:
         chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers, cfg.packets))
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 initializer=_raise_malloc_thresholds) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             try:
                 with _sigint_held():
                     futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]

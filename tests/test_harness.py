@@ -131,7 +131,7 @@ def test_sweep_opens_one_pool(monkeypatch):
 
     def counting_pool(*args, **kwargs):
         starts.append(1)
-        assert kwargs["initializer"] is harness._raise_malloc_thresholds
+        assert "initializer" not in kwargs      # the workers take the heap policy in _simulate_sets
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
@@ -153,6 +153,42 @@ def test_malloc_initializer_sets_glibc_options(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
     harness._raise_malloc_thresholds()
     assert calls == [(-3, 32 << 20), (-1, 1 << 28)]      # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def test_serial_sweep_applies_the_heap_policy_before_simulating(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def simulate(*args, **kwargs):
+        calls.append("simulate")
+        return real(*args, **kwargs)
+
+    real = harness.simulate_packet_set
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(harness, "simulate_packet_set", simulate)
+    run_sweep(SimConfig(scheme="direct", code="alamouti", seed=1, packets=2, packet_bits=60,
+                        snr_db_list=(0.0,)))
+    assert calls[:3] == [(-3, 32 << 20), (-1, 1 << 28), "simulate"]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched policy function reaches workers only by fork")
+def test_pool_workers_apply_the_heap_policy(monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+
+    def record_pid():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(harness, "_raise_malloc_thresholds", record_pid)
+    run_sweep(SimConfig(scheme="direct", code="alamouti", seed=1, packets=6, packet_bits=60,
+                        snr_db_list=(0.0, 4.0), workers=2))
+    pids = log.read_text().split()
+    assert len(pids) == 4                   # once per chunk: 2 points x 2 chunks
+    assert str(os.getpid()) not in pids
 
 
 def test_malloc_initializer_is_quiet_without_glibc(monkeypatch):
