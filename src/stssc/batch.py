@@ -170,6 +170,32 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
                                  candidates_scaled, sqrt(rho))
 
 
+def source_bits(rngs, N: int, L: int) -> np.ndarray:
+    """(len(rngs), N, L) int64 source bits, set i's drawn from rngs[i] alone.
+
+    The bits equal rngs[i].integers(0, 2, size=(N, L)) from a fresh
+    generator, and the generator's later draws are the same too.  numpy's
+    integers(0, 2) takes each bit by Lemire's bounded draw from a 32-bit
+    half of a raw 64-bit word, low half first, and keeps the half's top
+    bit; so word w gives bit 31, then bit 63, and ceil(N*L/2) raw words
+    give every bit.  With N*L odd the last word's high half goes unused:
+    integers would leave it buffered in the bit generator for its next
+    32-bit draw, so a generator reused for another call would continue
+    differently from one that drew with integers.  The harness never reuses
+    one.  Each set's words are shifted straight into the bits, so no array
+    of every set's words is kept.
+    """
+    n = N * L
+    bits = np.empty((len(rngs), n), dtype=np.int64)
+    out = bits.view(np.uint64)
+    for rng, row in zip(rngs, out):
+        words = rng.bit_generator.random_raw((n + 1) // 2)
+        np.right_shift(words, 31, out=row[0::2])
+        np.right_shift(words[:n // 2], 63, out=row[1::2])
+    out[:, 0::2] &= 1
+    return bits.reshape(len(rngs), N, L)
+
+
 def _replay(variates):
     """draw(method) for _gains that hands back the given variates in turn."""
     pending = iter(variates)
@@ -182,13 +208,13 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
                         slots_per_block: int | None = None) -> SetResult:
     """Simulate one packet set per generator in rngs and total their destination-0 errors.
 
-    Set i draws from rngs[i] alone: its bits, then the scheme's DRAW_RULES,
-    each over all its blocks.  Only source 0's bits, the symbols' point
-    indices and the raw variates are kept for the whole call; the symbols,
-    gains and noise are formed, and the scheme decides, one tile of
-    BLOCK_BUDGET blocks at a time.  Every block's arithmetic is independent
-    of the other blocks, so each set's errors do not depend on which sets
-    share the call or on how the blocks are cut into tiles.
+    Set i draws from rngs[i] alone: its bits (source_bits), then the
+    scheme's DRAW_RULES, each over all its blocks.  Only source 0's bits,
+    the symbols' point indices and the raw variates are kept for the whole
+    call; the symbols, gains and noise are formed, and the scheme decides,
+    one tile of BLOCK_BUDGET blocks at a time.  Every block's arithmetic is
+    independent of the other blocks, so each set's errors do not depend on
+    which sets share the call or on how the blocks are cut into tiles.
 
     slots_per_block overrides the scheme's slot accounting rule (throughput
     escape hatch); error counting is unaffected.
@@ -204,7 +230,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     n_syms = ceil(L / bps)
     B = S * n_blocks
 
-    bits = np.stack([rng.integers(0, 2, size=(N, L)) for rng in rngs])
+    bits = source_bits(rngs, N, L)
     # a padding symbol's index is constellation.size, the 0 appended to the points
     sym = np.full((S, N, n_blocks * K), constellation.size, dtype=np.int8)
     sym[..., :n_syms] = point_index(constellation, _pad_bits(bits, bps)).reshape(S, N, n_syms)

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import hashlib
+import numbers
 import os
 import signal
 import threading
@@ -10,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import batch
 from .batch import SCHEMES, blocks_per_set, simulate_packet_set
@@ -22,6 +24,10 @@ from .modem import KAPPA_MODES, check_compatible, get_constellation
 SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
 MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameter numbers (malloc.h)
+MAX_PACKETS = 1 << 32       # set indices enter the seed hash as one 32-bit word each
+# packet sets whose seeds are hashed at once, rounded to whole groups: a few
+# hundred kB of hash arrays, however many sets a chunk holds
+SEEDS_PER_HASH = 4096
 
 CSV_HEADER = [
     "snr_db", "ber", "per", "throughput_bps", "bits_total", "bit_errors",
@@ -92,6 +98,8 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError("need at least one source")
     if cfg.packets < 1:
         raise ConfigurationError("need at least one packet")
+    if cfg.packets > MAX_PACKETS:
+        raise ConfigurationError(f"at most {MAX_PACKETS} packets per SNR point")
     if cfg.packet_bits < 1:
         raise ConfigurationError("packet length must be positive")
     if not cfg.snr_db_list:
@@ -132,15 +140,126 @@ def _point_seed(config: SimConfig, point_index: int) -> int:
     return int(np.random.SeedSequence([config.seed, point_index]).generate_state(1)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
+# numpy keeps stable across releases: a pool of 4 uint32 words, hashmix and
+# mix, then generate_state's output hash
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_SHIFT = np.uint32(16)
+
+
+def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
+    """Entries start .. start+n-1 of the hash constant chain init * mult**k mod 2**32, as (n, 1)."""
+    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(start, start + n)],
+                    dtype=np.uint32)[:, None]
+
+
+def _mix_tables():
+    """Per source word of the pool's all-pairs mix: (4, 4, 1) xor and product constants of its
+    hashmix, and the factors and shift mask of mix, which leave the source's own row as it is."""
+    xor, prod = np.zeros((2, _POOL, _POOL, 1), dtype=np.uint32)
+    left, right, mask = np.ones((3, _POOL, _POOL, 1), dtype=np.uint32)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL, _POOL * (_POOL - 1) + 1)
+    k = 0
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst == src:
+                right[src, dst] = mask[src, dst] = 0
+                continue
+            xor[src, dst], prod[src, dst] = consts[k], consts[k + 1]
+            left[src, dst], right[src, dst], mask[src, dst] = _MIX_MULT_L, _MIX_MULT_R, 0xFFFFFFFF
+            k += 1
+    return xor, prod, left, right, mask
+
+
+_FILL_HASH = _hash_consts(_INIT_A, _MULT_A, 0, _POOL + 1)
+_MIX_XOR, _MIX_PROD, _MIX_LEFT, _MIX_RIGHT, _MIX_MASK = _mix_tables()
+_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n as numpy's SeedSequence reads an integer: 32-bit words, least significant first."""
+    if n < 0:
+        raise ValueError(f"seed words need a nonnegative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _set_seeds(seed: int, point_index: int, set_indices) -> np.ndarray:
+    """The sets' PCG64 seeds, (S, 4) uint64.
+
+    Row i is SeedSequence([seed, point_index, set_indices[i]]).generate_state(4, np.uint64).
+    The words of seed and point_index are a prefix every set shares and each
+    set index (below 2**32) is one more word, so the hash runs once over
+    (., S) arrays instead of once per set.
+    """
+    prefix = _uint32_words(int(seed)) + _uint32_words(int(point_index))
+    index = np.asarray(set_indices, dtype=np.uint32)
+    entropy = [np.uint32(w) for w in prefix] + [index]
+    # the first 4 words, zero-padded, each hashed into the pool
+    pool = np.zeros((_POOL, len(index)), dtype=np.uint32)
+    for i, word in enumerate(entropy[:_POOL]):
+        pool[i] = word
+    pool ^= _FILL_HASH[:-1]
+    pool *= _FILL_HASH[1:]
+    pool ^= pool >> _SHIFT
+    # each pool word, hashed, mixed into each other one
+    for src in range(_POOL):
+        hashed = pool[src] ^ _MIX_XOR[src]
+        hashed *= _MIX_PROD[src]
+        hashed ^= hashed >> _SHIFT
+        hashed *= _MIX_RIGHT[src]
+        pool *= _MIX_LEFT[src]
+        pool -= hashed
+        hashed = pool >> _SHIFT
+        hashed &= _MIX_MASK[src]
+        pool ^= hashed
+    for k, word in enumerate(entropy[_POOL:]):
+        # words past the pool: each is mixed into every pool word
+        consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * k, _POOL + 1)
+        hashed = (word ^ consts[:-1]) * consts[1:]
+        hashed ^= hashed >> _SHIFT
+        pool *= np.uint32(_MIX_MULT_L)
+        pool -= hashed * np.uint32(_MIX_MULT_R)
+        pool ^= pool >> _SHIFT
+    # generate_state: 8 output words, hashed from the pool taken twice round
+    state = np.concatenate((pool, pool)) ^ _OUT_HASH[:-1]
+    state *= _OUT_HASH[1:]
+    state ^= state >> _SHIFT
+    # generate_state's uint64 words: pairs of uint32 words, the first the low half
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedRow(ISeedSequence):
+    """A seed sequence that hands its bit generator one row of _set_seeds.
+
+    PCG64 asks its seed sequence for generate_state(4, np.uint64) once, and
+    then seeds itself from those words.
+    """
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    set_indices) -> tuple[int, int, int, int]:
     """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots).
 
     Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
     blocks (at least one set): enough sets to spread simulate_packet_set's
-    fixed per-call costs.  Each set keeps its own generator, so grouping does
-    not change the totals.  Serial runs and pool workers both come through
-    here, so every process that simulates first takes the heap policy of
+    fixed per-call costs.  Each set keeps its own PCG64 generator, seeded as
+    default_rng(SeedSequence([seed, point_index, set])) would be, so grouping
+    does not change the totals.  The seeds of up to SEEDS_PER_HASH sets are
+    hashed at once (_set_seeds), and each group's generators are built from
+    them.  Serial runs and pool workers both come through here, so every
+    process that simulates first takes the heap policy of
     _raise_malloc_thresholds.
     """
     _raise_malloc_thresholds()
@@ -149,19 +268,22 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
     group = max(1, batch.BLOCK_BUDGET // blocks_per_set(design, constellation, cfg.packet_bits))
+    per_hash = group * max(1, SEEDS_PER_HASH // group)
     be = bits = pe = slots = 0
-    for start in range(0, len(set_indices), group):
-        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, point_index, i]))
-                for i in set_indices[start:start + group]]
-        res = simulate_packet_set(
-            cfg.scheme, design, constellation, cfg.sources, cfg.relays,
-            rho, sigma2, cfg.fading, cfg.normalization, cfg.packet_bits, rngs,
-            slots_per_block=cfg.phases_override,
-        )
-        be += res.bit_errors
-        bits += res.payload_bits
-        pe += res.packet_error
-        slots += res.slots
+    for lo in range(0, len(set_indices), per_hash):
+        seeds = _set_seeds(cfg.seed, point_index, set_indices[lo:lo + per_hash])
+        for start in range(0, len(seeds), group):
+            rngs = [np.random.Generator(np.random.PCG64(_SeedRow(row)))
+                    for row in seeds[start:start + group]]
+            res = simulate_packet_set(
+                cfg.scheme, design, constellation, cfg.sources, cfg.relays,
+                rho, sigma2, cfg.fading, cfg.normalization, cfg.packet_bits, rngs,
+                slots_per_block=cfg.phases_override,
+            )
+            be += res.bit_errors
+            bits += res.payload_bits
+            pe += res.packet_error
+            slots += res.slots
     return be, bits, pe, slots
 
 
@@ -224,7 +346,7 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     on the worker count.
     """
     if cfg.workers <= 1:
-        totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
+        totals = [_simulate_sets(cfg, snr_db, i, np.arange(cfg.packets)) for i, snr_db in points]
     else:
         chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers, cfg.packets))
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -259,9 +381,14 @@ def _record(cfg: SimConfig, snr_db: float, point_index: int, totals) -> SimRecor
 
 
 def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimRecord:
-    """Simulate one SNR point: `packets` packet sets, errors counted at destination 0."""
+    """Simulate one SNR point: `packets` packet sets, errors counted at destination 0.
+
+    point_index (a nonnegative integer) seeds the point as its place in a sweep would.
+    """
     cfg = validate(config)
     _check_snr([snr_db])
+    if not isinstance(point_index, numbers.Integral) or point_index < 0:
+        raise ConfigurationError(f"point index must be a nonnegative integer, got {point_index!r}")
     return _run_points(cfg, [(point_index, snr_db)])[0]
 
 

@@ -200,6 +200,25 @@ def test_bit_errors_from_indices_match_demapped_points(mod, N, L):
     assert got.min() > 0
 
 
+@pytest.mark.parametrize("N, L", [(1, 1), (3, 7), (2, 128), (3, 101), (4, 1000)])
+def test_source_bits_equal_integers_from_fresh_generators(N, L):
+    # numpy promises to keep SeedSequence's output stable, not Generator.integers'
+    # draws, so this pins source_bits' reading of integers(0, 2) on this numpy
+    seeds = [np.random.SeedSequence([5, N, L, s]) for s in range(3)]
+    ours = [np.random.default_rng(seed) for seed in seeds]
+    ref = [np.random.default_rng(seed) for seed in seeds]
+    bits = batch.source_bits(ours, N, L)
+    expected = np.stack([rng.integers(0, 2, size=(N, L)) for rng in ref])
+    assert bits.dtype == expected.dtype and bits.shape == expected.shape
+    np.testing.assert_array_equal(bits, expected)
+    for a, b in zip(ours, ref):
+        np.testing.assert_array_equal(a.standard_normal(5), b.standard_normal(5))
+        # integers keeps an odd count's spare 32-bit half for its next 32-bit draw;
+        # source_bits leaves none, so a reused generator would go on differently
+        assert b.bit_generator.state["has_uint32"] == (N * L) % 2
+        assert a.bit_generator.state["has_uint32"] == 0
+
+
 def test_slot_rules():
     assert SLOT_RULES["stssc"](2, 2, 2, 2) == 6
     assert SLOT_RULES["afost"](2, 2, 2, 2) == 6

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stssc import batch, cli, harness
@@ -52,6 +52,8 @@ def test_validate_rejects_bad_configs():
     with pytest.raises(ConfigurationError):
         validate(SimConfig(packets=0))
     with pytest.raises(ConfigurationError):
+        validate(SimConfig(packets=2**32 + 1))  # a set index is one 32-bit word of its seed
+    with pytest.raises(ConfigurationError):
         validate(SimConfig(snr_db_list=()))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(snr_db_list=(np.inf,)))
@@ -68,8 +70,9 @@ def test_validate_rejects_bad_configs():
         validate(SimConfig(fading="nakagami"))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(sources=11))        # 4^11 candidates
-    # single-point SNR list is allowed
+    # single-point SNR list is allowed, and so are 2**32 packets
     validate(SimConfig(snr_db_list=(10.0,)))
+    validate(SimConfig(packets=2**32))
 
 
 def test_run_point_rejects_bad_snr():
@@ -78,6 +81,62 @@ def test_run_point_rejects_bad_snr():
     for snr_db in (np.nan, np.inf, -np.inf, MAX_SNR_DB + 1, 5000.0, -5000.0):
         with pytest.raises(ConfigurationError):
             run_point(cfg, snr_db)
+
+
+def test_run_point_rejects_bad_point_index_before_simulating(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a point with a bad index")
+
+    monkeypatch.setattr(harness, "simulate_packet_set", no_simulation)
+    cfg = SimConfig(packets=2, packet_bits=20)
+    for point_index in (-1, -2**40, 1.0, 2.5, "3", None):
+        with pytest.raises(ConfigurationError):
+            run_point(cfg, 10.0, point_index)
+
+
+def test_run_point_takes_numpy_integer_point_index():
+    cfg = SimConfig(packets=3, packet_bits=20, seed=2)
+    assert run_point(cfg, 4.0, np.int64(5)) == run_point(cfg, 4.0, 5)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**70), point=st.integers(0, cli.MAX_SNR_POINTS),
+       start=st.integers(0, 2**32 - 1), count=st.integers(0, 6))
+@example(seed=0, point=0, start=0, count=0)
+@example(seed=2**70, point=cli.MAX_SNR_POINTS, start=2**32 - 1, count=1)
+@example(seed=2**32 - 1, point=2**32 - 1, start=7, count=1)
+def test_set_seeds_equal_numpy_seed_sequence(seed, point, start, count):
+    # one (seed, point) prefix, then every set index below 2**32 that fits
+    indices = np.arange(start, min(start + count, 2**32))
+    seeds = harness._set_seeds(seed, point, indices)
+    assert seeds.shape == (len(indices), 4) and seeds.dtype == np.uint64
+    for row, i in zip(seeds, indices):
+        sequence = np.random.SeedSequence([seed, point, int(i)])
+        np.testing.assert_array_equal(row, sequence.generate_state(4, np.uint64))
+        ours = np.random.Generator(np.random.PCG64(harness._SeedRow(row)))
+        ref = np.random.default_rng(sequence)
+        assert ours.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(ours.random(3), ref.random(3))
+        np.testing.assert_array_equal(ours.bit_generator.random_raw(3),
+                                      ref.bit_generator.random_raw(3))
+
+
+def test_seed_hash_blocks_do_not_change_results(monkeypatch):
+    # 13 sets of 100 bits go 10 to a group; a hash covers whole groups, so
+    # SEEDS_PER_HASH = 3 hashes 10 and then 3 seeds per point, and 20 all 13
+    cfg = SimConfig(scheme="afost", code="alamouti", seed=9, packets=13, packet_bits=100,
+                    snr_db_list=(4.0, 8.0))
+    expected = run_sweep(cfg)
+    monkeypatch.setattr(batch, "BLOCK_BUDGET", 250)
+    hashed = []
+    real = harness._set_seeds
+    monkeypatch.setattr(harness, "_set_seeds",
+                        lambda *args: hashed.append(len(args[2])) or real(*args))
+    for per_hash, sizes in ((3, [10, 3]), (20, [13])):
+        monkeypatch.setattr(harness, "SEEDS_PER_HASH", per_hash)
+        hashed.clear()
+        assert run_sweep(cfg) == expected
+        assert hashed == sizes * 2
 
 
 def test_config_hash_ignores_workers_and_output():
