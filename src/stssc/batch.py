@@ -34,7 +34,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from . import _kernels
-from .channel import _complex_noise, _gain_methods, _gains, _set_sampler
+from .channel import _complex_noise, _gain_methods, _gains, _set_variates
 from .decoder import enumerate_candidates, first_source_index
 from .designs import OrthogonalDesign
 # demap_hard and modulate are unused here, since bits come from decision
@@ -112,23 +112,13 @@ def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
     return z
 
 
-def relay_matched_filter(design: OrthogonalDesign, y):
-    """P = sum_tau A*[t,tau,r] y[..., r, tau] and Q = sum_tau B[t,tau,r] y*[..., r, tau].
-
-    y: (B, M, T), or (B, 1, T) for one stream carrying every relay -> P, Q (B, M, K).
-    """
-    picked = design.sign * np.take_along_axis(y, design.slot[None], axis=-1)
-    P = np.where(design.conjugated, 0, picked)
-    Q = np.where(design.conjugated, picked.conj(), 0)
-    return P, Q
-
-
 def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
-    """conj(hRD) P + hRD Q of the forwarded codewords g relay_encode(q), without forming them.
+    """Each relay's matched filter of y = hRD g relay_encode(q) + w, without forming y.
 
     Blocks lie on the last axis: q (M, K, B) relay observations, w (M, T, B)
-    forwarding noise, hRD and g (M, B) -> (M, K, B).  Relay r's matched
-    filter picks sign (hRD g sign q' + w) from slot[r, t], where q' is q or
+    forwarding noise, hRD and g (M, B) -> (M, K, B), symbol t of relay r
+    being conj(hRD) sum_tau A*[t,tau,r] y[tau] + hRD sum_tau B[t,tau,r] y*[tau].
+    That picks sign (hRD g sign q' + w) from slot[r, t], where q' is q or
     q* as conjugated says; sign is +-1, so that equals hRD g q' + sign w[slot]
     rounding for rounding.  A conjugated symbol's statistic hRD (...)* is
     the conjugate of conj(hRD) (...), so one product serves every symbol.
@@ -196,12 +186,6 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
     return bits.reshape(len(rngs), N, L)
 
 
-def _replay(variates):
-    """draw(method) for _gains that hands back the given variates in turn."""
-    pending = iter(variates)
-    return lambda method: next(pending)
-
-
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
                         N: int, M: int, rho: float, sigma2: float, fading: str,
                         kappa_mode: str, packet_bits: int, rngs,
@@ -243,8 +227,9 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     methods = {"gain": _gain_methods(fading), "noise": (normal, normal) if sigma2 else ()}
     variates = []               # per draw: kind, per-block shape, (B, *shape) raw variates
     for shape, kind in DRAW_RULES[scheme](N, M, K, T):
-        draw = _set_sampler(rngs, (n_blocks,) + shape)
-        variates.append((kind, shape, [draw(m).reshape((B,) + shape) for m in methods[kind]]))
+        size = (n_blocks,) + shape
+        variates.append((kind, shape, [_set_variates(rngs, m, size).reshape((B,) + shape)
+                                       for m in methods[kind]]))
 
     if scheme in ("stssc", "afost"):
         xc = kappa * enumerate_candidates(constellation, N)
@@ -272,8 +257,10 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             scale = sqrt(rho / M) * kappa
             y = scale * np.einsum("br,brt->bt", hRD, cols) + w
             heff = scale * hRD                                                      # (b, M)
-            P, Q = relay_matched_filter(design, y[:, None, :])
-            z = np.sum(heff.conj()[:, :, None] * P + heff[:, :, None] * Q, axis=1)  # (b, K)
+            # relay_statistics' signed gather, summed over the relays
+            stat = heff.conj()[:, :, None] * (design.sign * y[:, design.slot])      # (b, M, K)
+            np.negative(stat.imag, out=stat.imag, where=design.conjugated)
+            z = np.sum(stat, axis=1)                                                # (b, K)
             heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
             return nearest_index(constellation, z / heq)
         hSD0, w = draws
@@ -283,7 +270,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     def formed(kind, shape, parts):
         """One tile's draw from its raw variates parts: gains, noise, or zeros when sigma2 = 0."""
         if kind == "gain":
-            return _gains(fading, _replay(parts))
+            return _gains(fading, parts)
         if sigma2:
             return _complex_noise(sigma2, *parts)
         return np.zeros(shape, dtype=complex)

@@ -45,17 +45,17 @@ def _gain_methods(model: str) -> tuple:
     raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
 
 
-def _gains(model: str, draw) -> np.ndarray:
-    """Fading gains from draw(method), which returns variates of a Generator method.
+def _gains(model: str, variates) -> np.ndarray:
+    """Fading gains from the variates of _gain_methods(model), in its order.
 
     A unit-mag gain e^{j 2 pi u} is written as cos and sin into the parts of
     one complex array: the values of np.exp(2j * np.pi * u), bit for bit,
     without its complex temporaries.
     """
-    v = [draw(method) for method in _gain_methods(model)]
     if model == "rayleigh":
-        return (v[0] + 1j * v[1]) / np.sqrt(2.0)
-    theta = 2 * np.pi * v[0]
+        re, im = variates
+        return (re + 1j * im) / np.sqrt(2.0)
+    theta = 2 * np.pi * variates[0]
     h = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=h.real)
     np.sin(theta, out=h.imag)
@@ -76,22 +76,17 @@ def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sampler(rng: np.random.Generator, shape):
-    """draw(method) for _gains: variates of the given shape from rng."""
-    return lambda method: method(rng, size=shape)
+def _draw_gains(model: str, rng: np.random.Generator, shape) -> np.ndarray:
+    """Fading gains of the given shape, drawn from rng."""
+    return _gains(model, [method(rng, size=shape) for method in _gain_methods(model)])
 
 
-def _set_sampler(rngs, shape):
-    """draw(method) for several generators: a (len(rngs), *shape) array, slice i from rngs[i].
-
-    Each slice is filled in place, so every generator draws in its own order.
-    """
-    def draw(method):
-        out = np.empty((len(rngs),) + shape)
-        for rng, part in zip(rngs, out):
-            method(rng, out=part)
-        return out
-    return draw
+def _set_variates(rngs, method, shape) -> np.ndarray:
+    """(len(rngs), *shape) variates of a Generator method, slice i drawn in place from rngs[i]."""
+    out = np.empty((len(rngs),) + shape)
+    for rng, part in zip(rngs, out):
+        method(rng, out=part)
+    return out
 
 
 def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generator,
@@ -102,8 +97,8 @@ def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generato
     if rho <= 0:
         raise UsageError("rho must be positive")
     return ChannelRealization(
-        hSR=_gains(model, _sampler(rng, (N, M))),
-        hRD=_gains(model, _sampler(rng, (M,))),
+        hSR=_draw_gains(model, rng, (N, M)),
+        hRD=_draw_gains(model, rng, (M,)),
         rho=float(rho),
         sigma2=float(sigma2),
     )

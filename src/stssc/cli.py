@@ -19,7 +19,7 @@ from .batch import SCHEMES
 from .channel import FADING_MODELS
 from .designs import DESIGN_NAMES, build_design, format_design
 from .errors import ConfigurationError
-from .harness import SimConfig, emit_csv, compare_runs, run_sweep
+from .harness import INT_FIELDS, SimConfig, emit_csv, compare_runs, run_sweep
 from .modem import CONSTELLATION_NAMES, KAPPA_MODES
 
 # Most points an 'a:step:b' range may hold.  Each point is a whole Monte Carlo
@@ -71,9 +71,9 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"sources", "relays", "packets", "packet_bits", "seed", "workers",
-             "phases_override"}
-_BOOL_KEYS = {"noiseless", "stderr"}
+# config-file keys by type: SimConfig's integer and bool fields, and the CLI-only stderr
+_INT_KEYS = set(INT_FIELDS)
+_BOOL_KEYS = {f.name for f in dataclasses.fields(SimConfig) if f.type is bool} | {"stderr"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 

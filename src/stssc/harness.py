@@ -8,7 +8,7 @@ import os
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -76,6 +76,12 @@ class SimRecord:
     config_hash: str
 
 
+# the integer fields (annotated int or int | None) and the values each takes;
+# a bool is no integer here
+INT_FIELDS = {f.name: numbers.Integral if f.type is int else (numbers.Integral, type(None))
+              for f in fields(SimConfig) if f.type in (int, int | None)}
+
+
 def _check_snr(snr_db_list) -> None:
     if not all(np.isfinite(s) for s in snr_db_list):
         raise ConfigurationError("SNR values must be finite")
@@ -84,6 +90,10 @@ def _check_snr(snr_db_list) -> None:
 
 
 def validate(config: SimConfig) -> SimConfig:
+    for name, kinds in INT_FIELDS.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     cfg = config.resolved()
     if cfg.scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {cfg.scheme!r}; valid: {', '.join(SCHEMES)}")
@@ -141,42 +151,32 @@ def _point_seed(config: SimConfig, point_index: int) -> int:
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose output
-# numpy keeps stable across releases: a pool of 4 uint32 words, hashmix and
-# mix, then generate_state's output hash
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# numpy keeps stable across releases: a pool of 4 uint32 words, mix_entropy's
+# hashmix and mix, then generate_state's output hash; each hash constant chain
+# is (init, mult), its k-th entry init * mult**k mod 2**32
+_CHAIN_A = (np.uint32(0x43B0D7E5), np.uint32(0x931E8875))
+_CHAIN_B = (np.uint32(0x8B51F9DD), np.uint32(0x58F38DED))
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _SHIFT = np.uint32(16)
 
 
-def _hash_consts(init: int, mult: int, start: int, n: int) -> np.ndarray:
-    """Entries start .. start+n-1 of the hash constant chain init * mult**k mod 2**32, as (n, 1)."""
-    return np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(start, start + n)],
-                    dtype=np.uint32)[:, None]
+def _hashmix(words, chain, k: int, n: int) -> np.ndarray:
+    """numpy's hashmix of n rows of words, row i with the chain's entries k+i and k+i+1."""
+    init, mult = chain
+    consts = (init * mult ** np.arange(k, k + n + 1, dtype=np.uint32))[:, None]
+    hashed = words ^ consts[:-1]
+    hashed *= consts[1:]
+    hashed ^= hashed >> _SHIFT
+    return hashed
 
 
-def _mix_tables():
-    """Per source word of the pool's all-pairs mix: (4, 4, 1) xor and product constants of its
-    hashmix, and the factors and shift mask of mix, which leave the source's own row as it is."""
-    xor, prod = np.zeros((2, _POOL, _POOL, 1), dtype=np.uint32)
-    left, right, mask = np.ones((3, _POOL, _POOL, 1), dtype=np.uint32)
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL, _POOL * (_POOL - 1) + 1)
-    k = 0
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst == src:
-                right[src, dst] = mask[src, dst] = 0
-                continue
-            xor[src, dst], prod[src, dst] = consts[k], consts[k + 1]
-            left[src, dst], right[src, dst], mask[src, dst] = _MIX_MULT_L, _MIX_MULT_R, 0xFFFFFFFF
-            k += 1
-    return xor, prod, left, right, mask
-
-
-_FILL_HASH = _hash_consts(_INIT_A, _MULT_A, 0, _POOL + 1)
-_MIX_XOR, _MIX_PROD, _MIX_LEFT, _MIX_RIGHT, _MIX_MASK = _mix_tables()
-_OUT_HASH = _hash_consts(_INIT_B, _MULT_B, 0, 2 * _POOL + 1)
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of uint32 arrays."""
+    out = x * np.uint32(_MIX_MULT_L)
+    out -= y * np.uint32(_MIX_MULT_R)
+    out ^= out >> _SHIFT
+    return out
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -195,41 +195,26 @@ def _set_seeds(seed: int, point_index: int, set_indices) -> np.ndarray:
     Row i is SeedSequence([seed, point_index, set_indices[i]]).generate_state(4, np.uint64).
     The words of seed and point_index are a prefix every set shares and each
     set index (below 2**32) is one more word, so the hash runs once over
-    (., S) arrays instead of once per set.
+    (., S) arrays instead of once per set.  Every step works on arrays, whose
+    uint32 arithmetic wraps silently (numpy's scalars warn).
     """
-    prefix = _uint32_words(int(seed)) + _uint32_words(int(point_index))
     index = np.asarray(set_indices, dtype=np.uint32)
-    entropy = [np.uint32(w) for w in prefix] + [index]
-    # the first 4 words, zero-padded, each hashed into the pool
+    entropy = _uint32_words(int(seed)) + _uint32_words(int(point_index)) + [index]
+    # mix_entropy: the first 4 words, zero-padded, hashed into the pool ...
     pool = np.zeros((_POOL, len(index)), dtype=np.uint32)
     for i, word in enumerate(entropy[:_POOL]):
         pool[i] = word
-    pool ^= _FILL_HASH[:-1]
-    pool *= _FILL_HASH[1:]
-    pool ^= pool >> _SHIFT
-    # each pool word, hashed, mixed into each other one
+    pool = _hashmix(pool, _CHAIN_A, 0, _POOL)
+    # ... each pool word, hashed, mixed into each other one ...
     for src in range(_POOL):
-        hashed = pool[src] ^ _MIX_XOR[src]
-        hashed *= _MIX_PROD[src]
-        hashed ^= hashed >> _SHIFT
-        hashed *= _MIX_RIGHT[src]
-        pool *= _MIX_LEFT[src]
-        pool -= hashed
-        hashed = pool >> _SHIFT
-        hashed &= _MIX_MASK[src]
-        pool ^= hashed
-    for k, word in enumerate(entropy[_POOL:]):
-        # words past the pool: each is mixed into every pool word
-        consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * k, _POOL + 1)
-        hashed = (word ^ consts[:-1]) * consts[1:]
-        hashed ^= hashed >> _SHIFT
-        pool *= np.uint32(_MIX_MULT_L)
-        pool -= hashed * np.uint32(_MIX_MULT_R)
-        pool ^= pool >> _SHIFT
+        others = [dst for dst in range(_POOL) if dst != src]
+        hashed = _hashmix(pool[src], _CHAIN_A, _POOL + len(others) * src, len(others))
+        pool[others] = _mix(pool[others], hashed)
+    # ... and each word past the pool mixed into every pool word
+    for j, word in enumerate(entropy[_POOL:]):
+        pool = _mix(pool, _hashmix(word, _CHAIN_A, _POOL * (_POOL + j), _POOL))
     # generate_state: 8 output words, hashed from the pool taken twice round
-    state = np.concatenate((pool, pool)) ^ _OUT_HASH[:-1]
-    state *= _OUT_HASH[1:]
-    state ^= state >> _SHIFT
+    state = _hashmix(np.concatenate((pool, pool)), _CHAIN_B, 0, 2 * _POOL)
     # generate_state's uint64 words: pairs of uint32 words, the first the low half
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
@@ -249,7 +234,7 @@ class _SeedRow(ISeedSequence):
 
 
 def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
-                   set_indices) -> tuple[int, int, int, int]:
+                   sets: range) -> tuple[int, int, int, int]:
     """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots).
 
     Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
@@ -258,9 +243,9 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     default_rng(SeedSequence([seed, point_index, set])) would be, so grouping
     does not change the totals.  The seeds of up to SEEDS_PER_HASH sets are
     hashed at once (_set_seeds), and each group's generators are built from
-    them.  Serial runs and pool workers both come through here, so every
-    process that simulates first takes the heap policy of
-    _raise_malloc_thresholds.
+    them; only those sets' indices are ever held as an array.  Serial runs
+    and pool workers both come through here, so every process that simulates
+    first takes the heap policy of _raise_malloc_thresholds.
     """
     _raise_malloc_thresholds()
     design = build_design(cfg.code)
@@ -270,8 +255,9 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     group = max(1, batch.BLOCK_BUDGET // blocks_per_set(design, constellation, cfg.packet_bits))
     per_hash = group * max(1, SEEDS_PER_HASH // group)
     be = bits = pe = slots = 0
-    for lo in range(0, len(set_indices), per_hash):
-        seeds = _set_seeds(cfg.seed, point_index, set_indices[lo:lo + per_hash])
+    for lo in range(sets.start, sets.stop, per_hash):
+        indices = np.arange(lo, min(lo + per_hash, sets.stop), dtype=np.uint32)
+        seeds = _set_seeds(cfg.seed, point_index, indices)
         for start in range(0, len(seeds), group):
             rngs = [np.random.Generator(np.random.PCG64(_SeedRow(row)))
                     for row in seeds[start:start + group]]
@@ -340,15 +326,16 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     """Simulate each (point_index, snr_db) of a validated config, in order.
 
     With workers > 1 one pool serves every point: each point is cut into
-    min(workers, packets) chunks, all chunks are queued up front, and each
-    point's totals are folded in point order.  Totals are integer sums of
+    min(workers, packets) ranges of sets, all of them are queued up front, and
+    each point's totals are folded in point order.  Totals are integer sums of
     per-set results seeded by (seed, point, set), so records do not depend
     on the worker count.
     """
     if cfg.workers <= 1:
-        totals = [_simulate_sets(cfg, snr_db, i, np.arange(cfg.packets)) for i, snr_db in points]
+        totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
     else:
-        chunks = np.array_split(np.arange(cfg.packets), min(cfg.workers, cfg.packets))
+        n = min(cfg.workers, cfg.packets)
+        chunks = [range(cfg.packets * k // n, cfg.packets * (k + 1) // n) for k in range(n)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             try:
                 with _sigint_held():

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from stssc.batch import BLOCK_BUDGET, relay_encode, stssc_decode_batch
-from stssc.channel import _gains, _sampler, awgn, draw_channel
+from stssc.channel import _draw_gains, awgn, draw_channel
 from stssc.decoder import brute_force_indices, enumerate_candidates, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design, verify_orthogonality
 from stssc.harness import SimConfig, _binomial_stderr, emit_csv, run_point, run_sweep
@@ -80,8 +80,8 @@ def test_criterion_02_decoder_oracle_equivalence():
         for fading in ("unit-mag", "rayleigh"):
             for snr_db in (0.0, 10.0, 20.0):
                 rho = 10.0 ** (snr_db / 10.0)
-                hSR = _gains(fading, _sampler(rng, (blocks_per_case, n, M)))
-                hRD = _gains(fading, _sampler(rng, (blocks_per_case, M)))
+                hSR = _draw_gains(fading, rng, (blocks_per_case, n, M))
+                hRD = _draw_gains(fading, rng, (blocks_per_case, M))
                 X = kappa * c.points[rng.integers(0, c.size, size=(blocks_per_case, n, K))]
                 bn = awgn((blocks_per_case, M, K), 1.0, rng)
                 fw = awgn((blocks_per_case, M, T), 1.0, rng)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from stssc import batch
 from stssc.batch import (
-    SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_matched_filter, relay_statistics,
+    SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_statistics,
     simulate_packet_set, stssc_decode_batch,
 )
-from stssc.channel import FADING_MODELS, _gains, _sampler, awgn
+from stssc.channel import FADING_MODELS, _draw_gains, awgn
 from stssc.decoder import enumerate_candidates, first_source_index
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
@@ -28,9 +28,9 @@ from conftest import constellation_for
 @pytest.mark.parametrize("name", DESIGN_NAMES)
 def test_relay_statistics_equal_encode_forward_matched_filter(name):
     # the fused statistics skip the relay codewords and the destination's
-    # observations, yet equal the encode -> forward -> matched filter chain bit
-    # for bit: float64 views compared, sign bits too (assert_array_equal
-    # takes -0.0 for 0.0)
+    # observations, yet equal the encode -> forward -> matched filter chain,
+    # with the dense dispersion products A* and B, bit for bit: float64 views
+    # compared, sign bits too (assert_array_equal takes -0.0 for 0.0)
     d = build_design(name)
     rng = np.random.default_rng(31)
     B = 4000
@@ -43,8 +43,9 @@ def test_relay_statistics_equal_encode_forward_matched_filter(name):
 
     q, w, hRD, g = cn(B, d.M, d.K), cn(B, d.M, d.T), cn(B, d.M), rng.random((B, d.M))
     y = hRD[:, :, None] * (g[:, :, None] * relay_encode(d, q)) + w
-    P, Q = relay_matched_filter(d, y)
-    ref = (hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q).view(np.float64)
+    P = np.einsum("ktr,brt->brk", d.A.conj(), y)
+    Q = np.einsum("ktr,brt->brk", d.B, y.conj())
+    ref = np.ascontiguousarray(hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q).view(np.float64)
     fused = relay_statistics(d, blocks_last(q), blocks_last(w), blocks_last(hRD), blocks_last(g))
     got = np.moveaxis(fused, -1, 0).copy().view(np.float64)
     np.testing.assert_array_equal(got, ref)
@@ -70,30 +71,14 @@ def test_stssc_decisions_unchanged_when_relay_links_turn_by_j(name, N, blocks, s
         return awgn((blocks,) + shape, 1.0, rng)
 
     X = kappa * c.points[rng.integers(0, c.size, size=(blocks, N, d.K))]
-    hSR = _gains(fading, _sampler(rng, (blocks, N, d.M)))
-    hRD = _gains(fading, _sampler(rng, (blocks, d.M)))
+    hSR = _draw_gains(fading, rng, (blocks, N, d.M))
+    hRD = _draw_gains(fading, rng, (blocks, d.M))
     n, w = cn(d.M, d.K), cn(d.M, d.T)
     xc = kappa * enumerate_candidates(c, N)
     rho = 10.0 ** (snr_db / 10.0)
     decided = stssc_decode_batch(X, hSR, hRD, n, w, d, xc, rho, 1.0)
     turned = stssc_decode_batch(X, hSR, 1j * hRD, n, 1j * w, d, xc, rho, 1.0)
     np.testing.assert_array_equal(turned, decided)
-
-
-@pytest.mark.parametrize("name", DESIGN_NAMES)
-def test_relay_matched_filter_equals_dispersion_products(name):
-    # gathers with sign flips give the dense dispersion products bit for bit,
-    # per relay stream (stssc) and for one stream heard from every relay (dstc)
-    d = build_design(name)
-    rng = np.random.default_rng(23)
-    y = rng.normal(size=(40, d.M, d.T)) + 1j * rng.normal(size=(40, d.M, d.T))
-    P, Q = relay_matched_filter(d, y)
-    np.testing.assert_array_equal(P, np.einsum("ktr,brt->brk", d.A.conj(), y))
-    np.testing.assert_array_equal(Q, np.einsum("ktr,brt->brk", d.B, y.conj()))
-    y1 = y[:, 0, :]
-    P, Q = relay_matched_filter(d, y1[:, None, :])
-    np.testing.assert_array_equal(P, np.einsum("ktr,bt->brk", d.A.conj(), y1))
-    np.testing.assert_array_equal(Q, np.einsum("ktr,bt->brk", d.B, y1.conj()))
 
 
 def replayed_bit_errors(scheme, d, c, rho, fading, L, seed):
@@ -113,7 +98,7 @@ def replayed_bit_errors(scheme, d, c, rho, fading, L, seed):
     n_blocks, kappa = len(blocks), blocks[0].kappa
 
     def gains(*shape):
-        return _gains(fading, _sampler(rng, (n_blocks,) + shape))
+        return _draw_gains(fading, rng, (n_blocks,) + shape)
 
     def noise(*shape):
         return awgn((n_blocks,) + shape, 1.0, rng)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stssc.channel import _gains, _sampler, awgn, draw_channel
+from stssc.channel import _draw_gains, _gains, awgn, draw_channel
 from stssc.errors import ConfigurationError, UsageError
 
 
@@ -17,11 +17,11 @@ def test_unit_mag_gains_equal_complex_exponential_bit_for_bit():
     # cos and sin written into one complex array give np.exp(2j pi u) exactly,
     # signed zeros included, on fixed draws and on the quarter turns
     u = np.concatenate([np.random.default_rng(5).random(100_000), [0.0, 0.25, 0.5, 0.75]])
-    got = _gains("unit-mag", lambda method: u).view(np.float64)
+    got = _gains("unit-mag", [u]).view(np.float64)
     ref = np.exp(2j * np.pi * u).view(np.float64)
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
-    drawn = _gains("unit-mag", _sampler(np.random.default_rng(9), (40, 3)))
+    drawn = _draw_gains("unit-mag", np.random.default_rng(9), (40, 3))
     u = np.random.default_rng(9).random((40, 3))
     np.testing.assert_array_equal(drawn, np.exp(2j * np.pi * u))
 

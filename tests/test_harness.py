@@ -5,6 +5,7 @@ import signal
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -70,9 +71,10 @@ def test_validate_rejects_bad_configs():
         validate(SimConfig(fading="nakagami"))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(sources=11))        # 4^11 candidates
-    # single-point SNR list is allowed, and so are 2**32 packets
+    # single-point SNR list is allowed, and so are 2**32 packets and numpy integers
     validate(SimConfig(snr_db_list=(10.0,)))
     validate(SimConfig(packets=2**32))
+    validate(SimConfig(packets=np.int64(3), seed=np.uint64(2**63), workers=np.int32(2)))
 
 
 def test_run_point_rejects_bad_snr():
@@ -81,6 +83,22 @@ def test_run_point_rejects_bad_snr():
     for snr_db in (np.nan, np.inf, -np.inf, MAX_SNR_DB + 1, 5000.0, -5000.0):
         with pytest.raises(ConfigurationError):
             run_point(cfg, snr_db)
+
+
+@pytest.mark.parametrize("name", ["sources", "relays", "packets", "packet_bits", "seed", "workers",
+                                  "phases_override"])
+def test_validate_rejects_non_integer_values_before_simulating(monkeypatch, name):
+    # a float, even a whole one, a string or a bool in an integer field is a
+    # configuration error, raised before any set is simulated
+    def no_simulation(*args):
+        raise AssertionError(f"simulated a point with a non-integer {name}")
+
+    monkeypatch.setattr(harness, "_simulate_sets", no_simulation)
+    assert name in harness.INT_FIELDS and name in cli._INT_KEYS
+    for value in (2.5, 2.0, np.float64(2.0), "2", True):
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            run_sweep(SimConfig(**{**dict(packets=2, packet_bits=20, snr_db_list=(0.0,)),
+                                   name: value}))
 
 
 def test_run_point_rejects_bad_point_index_before_simulating(monkeypatch):
@@ -100,13 +118,16 @@ def test_run_point_takes_numpy_integer_point_index():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**70), point=st.integers(0, cli.MAX_SNR_POINTS),
+@given(seed=st.integers(0, 2**130), point=st.integers(0, 2**64),
        start=st.integers(0, 2**32 - 1), count=st.integers(0, 6))
 @example(seed=0, point=0, start=0, count=0)
 @example(seed=2**70, point=cli.MAX_SNR_POINTS, start=2**32 - 1, count=1)
 @example(seed=2**32 - 1, point=2**32 - 1, start=7, count=1)
+@example(seed=2**96 + 5, point=2**40, start=3, count=2)
+@example(seed=2**130, point=2**64, start=2**32 - 2, count=2)
 def test_set_seeds_equal_numpy_seed_sequence(seed, point, start, count):
-    # one (seed, point) prefix, then every set index below 2**32 that fits
+    # one (seed, point) prefix, then every set index below 2**32 that fits; a
+    # seed of 2**130 and a point of 2**64 give 9 words, 5 of them past the pool
     indices = np.arange(start, min(start + count, 2**32))
     seeds = harness._set_seeds(seed, point, indices)
     assert seeds.shape == (len(indices), 4) and seeds.dtype == np.uint64
@@ -137,6 +158,30 @@ def test_seed_hash_blocks_do_not_change_results(monkeypatch):
         hashed.clear()
         assert run_sweep(cfg) == expected
         assert hashed == sizes * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulate_sets_receives_ranges_that_cover_every_set_once(monkeypatch, workers):
+    # no array of every set index is built: each point's sets reach _simulate_sets
+    # as min(workers, packets) ranges; threads stand in for the pool's processes
+    received = []
+    real = harness._simulate_sets
+
+    def recording(cfg, snr_db, point_index, sets):
+        received.append((point_index, sets))
+        return real(cfg, snr_db, point_index, sets)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(harness, "_simulate_sets", recording)
+    cfg = SimConfig(scheme="direct", code="alamouti", seed=3, packets=7, packet_bits=20,
+                    snr_db_list=(0.0, 5.0), workers=workers)
+    run_sweep(cfg)
+    for point in (0, 1):
+        ranges = [sets for i, sets in received if i == point]
+        assert all(isinstance(r, range) and r.step == 1 for r in ranges)
+        ranges.sort(key=lambda r: r.start)
+        assert len(ranges) == workers
+        assert [i for r in ranges for i in r] == list(range(cfg.packets))
 
 
 def test_config_hash_ignores_workers_and_output():
