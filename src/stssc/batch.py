@@ -21,14 +21,14 @@ the relay observation and the one forwarding-noise sample its slot
 carries (relay_statistics).  Every column weight is 1, so all K slots
 share one Gram matrix per block.
 
-Bit and packet error counts are reported for the designated destination
-(source index 0); padding bits are excluded.  Decisions stay point
-indices to the end: stssc and afost take source 0's digit of the
-candidate index, dstc and direct decide with nearest_index, and the bits
-are the indices' Gray labels, so no decided point is formed or demapped.
+Each set's bit errors are counted for the designated destination (source
+index 0), padding bits excluded; the harness does the bit, packet and slot
+accounting.  Decisions stay point indices to the end: stssc and afost take
+source 0's digit of the candidate index, dstc and direct decide with
+nearest_index, and the bits are the indices' Gray labels, so no decided
+point is formed or demapped.
 """
 
-from dataclasses import dataclass
 from math import ceil, sqrt
 
 import numpy as np
@@ -73,16 +73,6 @@ DRAW_RULES = {
                                 ((M, K), "noise"), ((T,), "noise")),
     "direct": lambda N, M, K, T: (((), "gain"), ((K,), "noise")),
 }
-
-
-@dataclass
-class SetResult:
-    """Totals over the packet sets of one call."""
-
-    bit_errors: int
-    payload_bits: int
-    packet_error: int       # sets with at least one bit error
-    slots: int
 
 
 def blocks_per_set(design: OrthogonalDesign, constellation: Constellation,
@@ -187,10 +177,9 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
 
 
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
-                        N: int, M: int, rho: float, sigma2: float, fading: str,
-                        kappa_mode: str, packet_bits: int, rngs,
-                        slots_per_block: int | None = None) -> SetResult:
-    """Simulate one packet set per generator in rngs and total their destination-0 errors.
+                        N: int, rho: float, sigma2: float, fading: str,
+                        kappa_mode: str, packet_bits: int, rngs) -> np.ndarray:
+    """Simulate one packet set per generator in rngs; returns their (S,) destination-0 bit errors.
 
     Set i draws from rngs[i] alone: its bits (source_bits), then the
     scheme's DRAW_RULES, each over all its blocks.  Only source 0's bits,
@@ -199,13 +188,10 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     one tile of BLOCK_BUDGET blocks at a time.  Every block's arithmetic is
     independent of the other blocks, so each set's errors do not depend on
     which sets share the call or on how the blocks are cut into tiles.
-
-    slots_per_block overrides the scheme's slot accounting rule (throughput
-    escape hatch); error counting is unaffected.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    K, T = design.K, design.T
+    M, K, T = design.M, design.K, design.T
     L = packet_bits
     S = len(rngs)
     bps = constellation.bits_per_symbol
@@ -287,9 +273,4 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             variates.clear()
         decided0[tile] = decide(X, *draws)
 
-    set_errors = set_bit_errors(constellation, decided0.reshape(S, -1), bits0)   # (S,)
-    per_block = slots_per_block if slots_per_block is not None else SLOT_RULES[scheme](N, M, K, T)
-    return SetResult(
-        bit_errors=int(set_errors.sum()), payload_bits=S * L,
-        packet_error=int(np.count_nonzero(set_errors)), slots=B * per_block,
-    )
+    return set_bit_errors(constellation, decided0.reshape(S, -1), bits0)

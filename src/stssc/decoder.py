@@ -56,11 +56,10 @@ def matched_filter(y, ch: ChannelRealization, design: OrthogonalDesign,
                    gains) -> DecoderStatistics:
     """Sufficient statistics u and the Gram matrix of all slots from the (M, T) observations y."""
     gains = np.asarray(gains, dtype=float)
-    # inner[r, t] = signature_{t,r}^H y~_r with signature = [h_rd a_{t,r}; h_rd* b_{t,r}*]
-    # P[r, k] = sum_tau conj(A[k, tau, r]) y[r, tau]; Q likewise from B and y*
-    P = (y[:, None, :] @ design.A.conj().transpose(2, 1, 0))[:, 0]      # (M, K)
-    Q = (y.conj()[:, None, :] @ design.B.transpose(2, 1, 0))[:, 0]
-    inner = ch.hRD.conj()[:, None] * P + ch.hRD[:, None] * Q        # (M, K)
+    # inner[r, t] = signature_{t,r}^H y~_r with signature = [h_rd a_{t,r}; h_rd* b_{t,r}*]:
+    # the signed gather conj(h_rd) sign y[r, slot], conjugated where x_t is
+    inner = ch.hRD.conj()[:, None] * (design.sign * y[np.arange(design.M)[:, None], design.slot])
+    np.negative(inner.imag, out=inner.imag, where=design.conjugated)                # (M, K)
     u = np.einsum("r,sr,rk->sk", gains, ch.hSR.conj(), inner)       # (N, K)
 
     # gram[s, s'] = sum_r g^2 |h_rd|^2 h_sr h_s'r*

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import batch
-from .batch import SCHEMES, blocks_per_set, simulate_packet_set
+from .batch import SCHEMES, SLOT_RULES, blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
 from .decoder import MAX_CANDIDATES
 from .designs import build_design
@@ -28,12 +28,6 @@ MAX_PACKETS = 1 << 32       # set indices enter the seed hash as one 32-bit word
 # packet sets whose seeds are hashed at once, rounded to whole groups: a few
 # hundred kB of hash arrays, however many sets a chunk holds
 SEEDS_PER_HASH = 4096
-
-CSV_HEADER = [
-    "snr_db", "ber", "per", "throughput_bps", "bits_total", "bit_errors",
-    "packets_total", "packet_errors", "slots_total", "seed", "config_hash",
-]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -76,24 +70,38 @@ class SimRecord:
     config_hash: str
 
 
+CSV_HEADER = [f.name for f in fields(SimRecord)]
+
 # the integer fields (annotated int or int | None) and the values each takes;
 # a bool is no integer here
 INT_FIELDS = {f.name: numbers.Integral if f.type is int else (numbers.Integral, type(None))
               for f in fields(SimConfig) if f.type in (int, int | None)}
 
 
-def _check_snr(snr_db_list) -> None:
-    if not all(np.isfinite(s) for s in snr_db_list):
-        raise ConfigurationError("SNR values must be finite")
-    if max(abs(s) for s in snr_db_list) > MAX_SNR_DB:
-        raise ConfigurationError(f"SNR values must lie within +-{MAX_SNR_DB:g} dB")
+def _check_snr(name: str, values) -> None:
+    for s in values:
+        if isinstance(s, bool) or not isinstance(s, numbers.Real):
+            raise ConfigurationError(f"{name} must be a real number, got {s!r}")
+        if not abs(s) <= MAX_SNR_DB:        # nan and +-inf too
+            raise ConfigurationError(f"SNR values must be finite and within +-{MAX_SNR_DB:g} dB")
+
+
+def _normalised(cfg: SimConfig) -> SimConfig:
+    """cfg with numpy integers and bools as Python ones, so that config_hash hashes them alike."""
+    ints = {name: int(v) for name in INT_FIELDS
+            if isinstance(v := getattr(cfg, name), numbers.Integral)}
+    noiseless = bool(cfg.noiseless) if isinstance(cfg.noiseless, np.bool_) else cfg.noiseless
+    return replace(cfg, noiseless=noiseless, **ints)
 
 
 def validate(config: SimConfig) -> SimConfig:
+    """The resolved, normalised config, or a ConfigurationError naming the bad field."""
     for name, kinds in INT_FIELDS.items():
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(config.noiseless, (bool, np.bool_)):
+        raise ConfigurationError(f"noiseless must be a bool, got {config.noiseless!r}")
     cfg = config.resolved()
     if cfg.scheme not in SCHEMES:
         raise ConfigurationError(f"unknown scheme {cfg.scheme!r}; valid: {', '.join(SCHEMES)}")
@@ -114,7 +122,7 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError("packet length must be positive")
     if not cfg.snr_db_list:
         raise ConfigurationError("SNR list must be nonempty")
-    _check_snr(cfg.snr_db_list)
+    _check_snr("snr_db_list", cfg.snr_db_list)
     if cfg.seed < 0:
         raise ConfigurationError("seed must be nonnegative")
     if cfg.workers < 1:
@@ -130,15 +138,15 @@ def validate(config: SimConfig) -> SimConfig:
             f"candidate space {constellation.size}^{cfg.sources} too large; "
             "reduce sources or constellation order"
         )
-    return cfg
+    return _normalised(cfg)
 
 
 def config_hash(config: SimConfig) -> str:
-    """Stable short hash of the result-determining config fields.
+    """Stable short hash of the result-determining config fields, as validate normalises them.
 
     workers is excluded: it must not affect results.
     """
-    cfg = config.resolved()
+    cfg = _normalised(config.resolved())
     fields = asdict(cfg)
     fields.pop("workers")
     fields["snr_db_list"] = [float(s) for s in fields["snr_db_list"]]
@@ -234,8 +242,8 @@ class _SeedRow(ISeedSequence):
 
 
 def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
-                   sets: range) -> tuple[int, int, int, int]:
-    """Run a range of packet sets; returns (bit_errors, bits, packet_errors, slots).
+                   sets: range) -> tuple[int, int]:
+    """Run a range of packet sets; returns their (bit_errors, packet_errors) at destination 0.
 
     Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
     blocks (at least one set): enough sets to spread simulate_packet_set's
@@ -254,23 +262,19 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     sigma2 = 0.0 if cfg.noiseless else 1.0
     group = max(1, batch.BLOCK_BUDGET // blocks_per_set(design, constellation, cfg.packet_bits))
     per_hash = group * max(1, SEEDS_PER_HASH // group)
-    be = bits = pe = slots = 0
+    bit_errors = packet_errors = 0
     for lo in range(sets.start, sets.stop, per_hash):
         indices = np.arange(lo, min(lo + per_hash, sets.stop), dtype=np.uint32)
         seeds = _set_seeds(cfg.seed, point_index, indices)
         for start in range(0, len(seeds), group):
             rngs = [np.random.Generator(np.random.PCG64(_SeedRow(row)))
                     for row in seeds[start:start + group]]
-            res = simulate_packet_set(
-                cfg.scheme, design, constellation, cfg.sources, cfg.relays,
-                rho, sigma2, cfg.fading, cfg.normalization, cfg.packet_bits, rngs,
-                slots_per_block=cfg.phases_override,
-            )
-            be += res.bit_errors
-            bits += res.payload_bits
-            pe += res.packet_error
-            slots += res.slots
-    return be, bits, pe, slots
+            errors = simulate_packet_set(cfg.scheme, design, constellation, cfg.sources, rho,
+                                         sigma2, cfg.fading, cfg.normalization, cfg.packet_bits,
+                                         rngs)
+            bit_errors += int(errors.sum())
+            packet_errors += int(np.count_nonzero(errors))
+    return bit_errors, packet_errors
 
 
 def _raise_malloc_thresholds() -> None:
@@ -349,8 +353,14 @@ def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     return [_record(cfg, snr_db, i, t) for (i, snr_db), t in zip(points, totals)]
 
 
-def _record(cfg: SimConfig, snr_db: float, point_index: int, totals) -> SimRecord:
-    bit_errors, bits_total, packet_errors, slots_total = totals
+def _record(cfg: SimConfig, snr_db: float, point_index: int, errors) -> SimRecord:
+    """A point's record from its (bit_errors, packet_errors); every set costs equal slots."""
+    bit_errors, packet_errors = errors
+    d = build_design(cfg.code)
+    per_block = cfg.phases_override or SLOT_RULES[cfg.scheme](cfg.sources, d.M, d.K, d.T)
+    bits_total = cfg.packets * cfg.packet_bits
+    slots_total = (cfg.packets * per_block
+                   * blocks_per_set(d, get_constellation(cfg.mod), cfg.packet_bits))
     correct_bits = (cfg.packets - packet_errors) * cfg.packet_bits
     return SimRecord(
         snr_db=float(snr_db),
@@ -373,8 +383,9 @@ def run_point(config: SimConfig, snr_db: float, point_index: int = 0) -> SimReco
     point_index (a nonnegative integer) seeds the point as its place in a sweep would.
     """
     cfg = validate(config)
-    _check_snr([snr_db])
-    if not isinstance(point_index, numbers.Integral) or point_index < 0:
+    _check_snr("snr_db", [snr_db])
+    if (isinstance(point_index, bool) or not isinstance(point_index, numbers.Integral)
+            or point_index < 0):
         raise ConfigurationError(f"point index must be a nonnegative integer, got {point_index!r}")
     return _run_points(cfg, [(point_index, snr_db)])[0]
 

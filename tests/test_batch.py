@@ -4,7 +4,6 @@ references written here.  Acceptance criterion 2 checks stssc's decisions
 against the brute-force oracle."""
 
 import tracemalloc
-from dataclasses import fields
 from math import ceil, sqrt
 
 import numpy as np
@@ -14,11 +13,11 @@ from hypothesis import strategies as st
 
 from stssc import batch
 from stssc.batch import (
-    SLOT_RULES, SetResult, blocks_per_set, relay_encode, relay_statistics,
+    SLOT_RULES, blocks_per_set, relay_encode, relay_statistics,
     simulate_packet_set, stssc_decode_batch,
 )
-from stssc.channel import FADING_MODELS, _draw_gains, awgn
-from stssc.decoder import enumerate_candidates, first_source_index
+from stssc.channel import FADING_MODELS, ChannelRealization, _draw_gains, awgn
+from stssc.decoder import enumerate_candidates, first_source_index, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
 from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
 
@@ -30,7 +29,8 @@ def test_relay_statistics_equal_encode_forward_matched_filter(name):
     # the fused statistics skip the relay codewords and the destination's
     # observations, yet equal the encode -> forward -> matched filter chain,
     # with the dense dispersion products A* and B, bit for bit: float64 views
-    # compared, sign bits too (assert_array_equal takes -0.0 for 0.0)
+    # compared, sign bits too (assert_array_equal takes -0.0 for 0.0).  The
+    # per-block matched_filter's signed gather gives that dense form's u too.
     d = build_design(name)
     rng = np.random.default_rng(31)
     B = 4000
@@ -45,11 +45,20 @@ def test_relay_statistics_equal_encode_forward_matched_filter(name):
     y = hRD[:, :, None] * (g[:, :, None] * relay_encode(d, q)) + w
     P = np.einsum("ktr,brt->brk", d.A.conj(), y)
     Q = np.einsum("ktr,brt->brk", d.B, y.conj())
-    ref = np.ascontiguousarray(hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q).view(np.float64)
+    dense = np.ascontiguousarray(hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q)  # (B, M, K)
+    ref = dense.view(np.float64)
     fused = relay_statistics(d, blocks_last(q), blocks_last(w), blocks_last(hRD), blocks_last(g))
     got = np.moveaxis(fused, -1, 0).copy().view(np.float64)
     np.testing.assert_array_equal(got, ref)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+    hSR = cn(B, 2, d.M)
+    for b in range(500):
+        ch = ChannelRealization(hSR=hSR[b], hRD=hRD[b], rho=1.0, sigma2=1.0)
+        u = matched_filter(y[b], ch, d, g[b]).u.view(np.float64)
+        u_ref = np.einsum("r,sr,rk->sk", g[b], hSR[b].conj(), dense[b]).view(np.float64)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(np.signbit(u), np.signbit(u_ref))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -152,10 +161,10 @@ def test_batch_baselines_match_replayed_reference(scheme, name, fading):
     d = build_design(name)
     c = constellation_for(d)
     rho, L, seed = 10.0 ** 0.5, 1001, 7
-    res = simulate_packet_set(scheme, d, c, d.M, d.M, rho, 1.0, fading, "perslot", L,
-                              [np.random.default_rng(seed)])
-    assert res.bit_errors == replayed_bit_errors(scheme, d, c, rho, fading, L, seed)
-    assert res.bit_errors > 0
+    errors = simulate_packet_set(scheme, d, c, d.M, rho, 1.0, fading, "perslot", L,
+                                 [np.random.default_rng(seed)])
+    assert errors.tolist() == [replayed_bit_errors(scheme, d, c, rho, fading, L, seed)]
+    assert errors[0] > 0
 
 
 @pytest.mark.parametrize("mod", ["bpsk", "qpsk"])
@@ -222,9 +231,9 @@ def test_packet_set_deterministic(scheme):
     results = []
     for _ in range(2):
         rng = np.random.default_rng(123)
-        results.append(simulate_packet_set(scheme, d, c, 2, 2, 10.0, 1.0,
+        results.append(simulate_packet_set(scheme, d, c, 2, 10.0, 1.0,
                                            "rayleigh", "perslot", 200, [rng]))
-    assert results[0] == results[1]
+    np.testing.assert_array_equal(results[0], results[1])
 
 
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
@@ -233,11 +242,8 @@ def test_packet_set_noiseless_error_free(scheme, name):
     d = build_design(name)
     c = constellation_for(d)
     rng = np.random.default_rng(7)
-    res = simulate_packet_set(scheme, d, c, d.M, d.M, 10.0, 0.0,
-                              "unit-mag", "perslot", 300, [rng])
-    assert res.bit_errors == 0
-    assert res.packet_error == 0
-    assert res.payload_bits == 300
+    errors = simulate_packet_set(scheme, d, c, d.M, 10.0, 0.0, "unit-mag", "perslot", 300, [rng])
+    assert errors.tolist() == [0]
 
 
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
@@ -250,14 +256,13 @@ def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
     seeds = range(40, 45)
 
     def run(rngs):
-        return simulate_packet_set(scheme, d, c, 3, 3, 3.0, sigma2, fading, "perslot", 127, rngs)
+        return simulate_packet_set(scheme, d, c, 3, 3.0, sigma2, fading, "perslot", 127, rngs)
 
     grouped = run([np.random.default_rng(s) for s in seeds])
-    singles = [run([np.random.default_rng(s)]) for s in seeds]
-    assert grouped == SetResult(*(sum(getattr(r, f.name) for r in singles)
-                                  for f in fields(SetResult)))
+    singles = np.concatenate([run([np.random.default_rng(s)]) for s in seeds])
+    np.testing.assert_array_equal(grouped, singles)
     if sigma2:
-        assert len({r.bit_errors for r in singles}) > 1
+        assert len(set(singles.tolist())) > 1
 
 
 @pytest.mark.parametrize("code, packet_bits", [("alamouti", 3001), ("c34", 5001)])
@@ -277,14 +282,14 @@ def test_stssc_tiles_do_not_change_results(monkeypatch, code, packet_bits, fadin
     def run(scheme, budget):
         monkeypatch.setattr(batch, "BLOCK_BUDGET", budget)
         rngs = [np.random.default_rng(s) for s in range(60, 60 + n_sets)]
-        return simulate_packet_set(scheme, d, c, d.M, d.M, 3.0, sigma2, fading, "perslot",
+        return simulate_packet_set(scheme, d, c, d.M, 3.0, sigma2, fading, "perslot",
                                    packet_bits, rngs)
 
     for scheme in batch.SCHEMES:
         whole = run(scheme, n_blocks)
         for budget in (1, 7, 512):
-            assert run(scheme, budget) == whole, (scheme, budget)
-        assert (whole.bit_errors > 0) == (sigma2 > 0), scheme
+            np.testing.assert_array_equal(run(scheme, budget), whole, err_msg=f"{scheme} {budget}")
+        assert (whole.sum() > 0) == (sigma2 > 0), scheme
 
 
 # bounds on the traced numpy peak (bytes) of one 100 000-bit unit-mag set at
@@ -307,7 +312,7 @@ def traced_peak(scheme, code, fading, packet_bits, sets):
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        simulate_packet_set(scheme, d, c, d.M, d.M, 10.0, 1.0, fading, "perslot", packet_bits, rngs)
+        simulate_packet_set(scheme, d, c, d.M, 10.0, 1.0, fading, "perslot", packet_bits, rngs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,54 +342,45 @@ def test_one_tile_call_frees_its_raw_variates_before_deciding():
             if peak >= ONE_TILE_MEMORY_BOUNDS[key]} == {}
 
 
-# (bit_errors, payload_bits, packet_error, slots) of two 5000-bit sets (seeds
-# 81 and 82) at 5 dB, N = M, as the simulator gave them before its tile loop
-# served every scheme; each call spans two or more 1024-block tiles
+# destination 0's bit errors in each of two 5000-bit sets (seeds 81 and 82) at
+# 5 dB, N = M, as the simulator gave them before its tile loop served every
+# scheme; each call spans two or more 1024-block tiles
 PINNED_RESULTS = {
-    ("stssc", "alamouti", "unit-mag"): (2196, 10000, 2, 15000),
-    ("stssc", "alamouti", "rayleigh"): (2573, 10000, 2, 15000),
-    ("stssc", "c34", "unit-mag"): (2342, 10000, 2, 25020),
-    ("stssc", "c34", "rayleigh"): (2830, 10000, 2, 25020),
-    ("stssc", "c44", "unit-mag"): (1711, 10000, 2, 50000),
-    ("stssc", "c44", "rayleigh"): (2173, 10000, 2, 50000),
-    ("afost", "alamouti", "unit-mag"): (2164, 10000, 2, 15000),
-    ("afost", "alamouti", "rayleigh"): (2603, 10000, 2, 15000),
-    ("afost", "c34", "unit-mag"): (2303, 10000, 2, 20016),
-    ("afost", "c34", "rayleigh"): (2781, 10000, 2, 20016),
-    ("afost", "c44", "unit-mag"): (1719, 10000, 2, 50000),
-    ("afost", "c44", "rayleigh"): (2108, 10000, 2, 50000),
-    ("dstc", "alamouti", "unit-mag"): (2105, 10000, 2, 20000),
-    ("dstc", "alamouti", "rayleigh"): (2658, 10000, 2, 20000),
-    ("dstc", "c34", "unit-mag"): (2740, 10000, 2, 35028),
-    ("dstc", "c34", "rayleigh"): (3119, 10000, 2, 35028),
-    ("dstc", "c44", "unit-mag"): (1923, 10000, 2, 80000),
-    ("dstc", "c44", "rayleigh"): (2515, 10000, 2, 80000),
-    ("direct", "alamouti", "unit-mag"): (1079, 10000, 2, 10000),
-    ("direct", "alamouti", "rayleigh"): (1686, 10000, 2, 10000),
-    ("direct", "c34", "unit-mag"): (1534, 10000, 2, 15012),
-    ("direct", "c34", "rayleigh"): (2090, 10000, 2, 15012),
-    ("direct", "c44", "unit-mag"): (1041, 10000, 2, 40000),
-    ("direct", "c44", "rayleigh"): (1675, 10000, 2, 40000),
+    ("stssc", "alamouti", "unit-mag"): (1141, 1055),
+    ("stssc", "alamouti", "rayleigh"): (1262, 1311),
+    ("stssc", "c34", "unit-mag"): (1168, 1174),
+    ("stssc", "c34", "rayleigh"): (1423, 1407),
+    ("stssc", "c44", "unit-mag"): (853, 858),
+    ("stssc", "c44", "rayleigh"): (1105, 1068),
+    ("afost", "alamouti", "unit-mag"): (1116, 1048),
+    ("afost", "alamouti", "rayleigh"): (1309, 1294),
+    ("afost", "c34", "unit-mag"): (1127, 1176),
+    ("afost", "c34", "rayleigh"): (1377, 1404),
+    ("afost", "c44", "unit-mag"): (841, 878),
+    ("afost", "c44", "rayleigh"): (1044, 1064),
+    ("dstc", "alamouti", "unit-mag"): (1059, 1046),
+    ("dstc", "alamouti", "rayleigh"): (1293, 1365),
+    ("dstc", "c34", "unit-mag"): (1386, 1354),
+    ("dstc", "c34", "rayleigh"): (1561, 1558),
+    ("dstc", "c44", "unit-mag"): (971, 952),
+    ("dstc", "c44", "rayleigh"): (1236, 1279),
+    ("direct", "alamouti", "unit-mag"): (540, 539),
+    ("direct", "alamouti", "rayleigh"): (824, 862),
+    ("direct", "c34", "unit-mag"): (765, 769),
+    ("direct", "c34", "rayleigh"): (1049, 1041),
+    ("direct", "c44", "unit-mag"): (531, 510),
+    ("direct", "c44", "rayleigh"): (845, 830),
 }
 
 
 @pytest.mark.parametrize("scheme, code, fading", list(PINNED_RESULTS))
 def test_results_are_pinned(scheme, code, fading):
-    # a changed decision, random draw or slot count changes these totals
+    # a changed decision or random draw changes these counts; the harness's
+    # accounting test pins the payload and slot totals
     d = build_design(code)
-    res = simulate_packet_set(scheme, d, constellation_for(d), d.M, d.M, 10 ** 0.5, 1.0, fading,
-                              "perslot", 5000, [np.random.default_rng(s) for s in (81, 82)])
-    assert res == SetResult(*PINNED_RESULTS[scheme, code, fading])
-
-
-def test_packet_set_slot_accounting():
-    d = build_design("alamouti")
-    c = get_constellation("qpsk")
-    rng = np.random.default_rng(7)
-    # 200 bits / (2 bits/sym * 2 slots) = 50 blocks
-    res = simulate_packet_set("stssc", d, c, 2, 2, 1.0, 1.0, "unit-mag",
-                              "perslot", 200, [rng])
-    assert res.slots == 50 * 6
+    errors = simulate_packet_set(scheme, d, constellation_for(d), d.M, 10 ** 0.5, 1.0, fading,
+                                 "perslot", 5000, [np.random.default_rng(s) for s in (81, 82)])
+    assert errors.tolist() == list(PINNED_RESULTS[scheme, code, fading])
 
 
 def test_direct_low_snr_random_guessing():
@@ -394,8 +390,7 @@ def test_direct_low_snr_random_guessing():
     rng = np.random.default_rng(99)
     total = err = 0
     for _ in range(50):
-        res = simulate_packet_set("direct", d, c, 2, 2, 1e-3, 1.0, "rayleigh",
-                                  "perslot", 1000, [rng])
-        err += res.bit_errors
-        total += res.payload_bits
+        err += simulate_packet_set("direct", d, c, 2, 1e-3, 1.0, "rayleigh",
+                                   "perslot", 1000, [rng]).sum()
+        total += 1000
     assert err / total == pytest.approx(0.5, abs=0.02)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import signal
@@ -156,6 +157,29 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", "--scheme", "direct", "--code", "alamouti", "--snr", "0",
                  "--packets", "5", "--packet-bits", "10", "--seed", "1",
                  "-o", str(tmp_path / "missing" / "x.csv")]) == 2
+
+
+# sha256 of the CSV each run writes (alamouti, 3 packets of 64 bits, 0 and 10 dB,
+# one worker, seed 0); they cover every column, config_hash and the slot
+# accounting included, so a refactor that changes any byte fails here
+CSV_DIGESTS = {
+    "stssc": "432451ad523c4131c355237dad9c4b01a2ebe972f4410af181072da0a5787824",
+    "afost": "26c91e47cfa270718707785f8eaa460e59bfd985f1c555f5b33b47f12309dc04",
+    "dstc": "dde257ddabeb3b44e4e0ec46029761beecc9927cb78602ff378c17751029f28a",
+    "direct": "04ba41589017dbec77606ce2160348d3cc1751863d1c4efca189d77c250ccff3",
+    "stssc --phases-override 9 --stderr":
+        "d08639380089f3be6ff68f23bea7e2353fc492884f830d16392fdffc5978af61",
+}
+
+
+@pytest.mark.parametrize("run", list(CSV_DIGESTS))
+def test_run_csv_bytes_are_pinned(tmp_path, run):
+    out = tmp_path / "run.csv"
+    scheme, *extra = run.split()
+    assert main(["run", "--scheme", scheme, "--code", "alamouti", "--packets", "3",
+                 "--packet-bits", "64", "--snr", "0,10", "--workers", "1", *extra,
+                 "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_DIGESTS[run]
 
 
 def test_run_choices_are_the_library_name_lists():

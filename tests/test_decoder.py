@@ -120,11 +120,11 @@ def test_shared_candidate_table_leaves_batched_chain_unchanged(scheme):
 
     def run():
         rngs = [np.random.default_rng(s) for s in range(3)]
-        return simulate_packet_set(scheme, d, c, 2, 2, 3.0, 1.0, "rayleigh", "perslot", 200, rngs)
+        return simulate_packet_set(scheme, d, c, 2, 3.0, 1.0, "rayleigh", "perslot", 200, rngs)
 
     decoder._candidate_table.cache_clear()
     cold = run()
-    assert run() == cold
+    np.testing.assert_array_equal(run(), cold)
 
 
 @pytest.mark.parametrize("name", DESIGN_NAMES)

@@ -71,17 +71,32 @@ def test_validate_rejects_bad_configs():
         validate(SimConfig(fading="nakagami"))
     with pytest.raises(ConfigurationError):
         validate(SimConfig(sources=11))        # 4^11 candidates
-    # single-point SNR list is allowed, and so are 2**32 packets and numpy integers
+    # "false" would run noiseless; 0 and None would each get their own config_hash
+    for noiseless in ("false", 0, 1, None):
+        with pytest.raises(ConfigurationError, match="noiseless must be a bool"):
+            validate(SimConfig(noiseless=noiseless))
+    for snr_db_list in (("x",), (None,), (True,), (0.0, "3"), (1j,)):
+        with pytest.raises(ConfigurationError, match="snr_db_list must be a real number"):
+            validate(SimConfig(snr_db_list=snr_db_list))
+    # single-point SNR list is allowed, and so are 2**32 packets, numpy integers
+    # and bools, which validate hands back as Python ones
     validate(SimConfig(snr_db_list=(10.0,)))
     validate(SimConfig(packets=2**32))
-    validate(SimConfig(packets=np.int64(3), seed=np.uint64(2**63), workers=np.int32(2)))
+    cfg = validate(SimConfig(packets=np.int64(3), seed=np.uint64(2**63), workers=np.int32(2),
+                             noiseless=np.False_, phases_override=np.int8(4)))
+    assert [type(v) for v in (cfg.packets, cfg.seed, cfg.workers, cfg.noiseless,
+                              cfg.phases_override)] == [int, int, int, bool, int]
+    assert cfg == validate(SimConfig(packets=3, seed=2**63, workers=2, phases_override=4))
 
 
 def test_run_point_rejects_bad_snr():
     # validate's SNR rules hold for run_point's own SNR too
     cfg = SimConfig(packets=2, packet_bits=20)
-    for snr_db in (np.nan, np.inf, -np.inf, MAX_SNR_DB + 1, 5000.0, -5000.0):
-        with pytest.raises(ConfigurationError):
+    for snr_db in (np.nan, np.inf, -np.inf, MAX_SNR_DB + 1, 5000.0, -5000.0, 10**400):
+        with pytest.raises(ConfigurationError, match="must be finite and within"):
+            run_point(cfg, snr_db)
+    for snr_db in ("3", None, True, np.True_, 1j):
+        with pytest.raises(ConfigurationError, match="snr_db must be a real number"):
             run_point(cfg, snr_db)
 
 
@@ -107,7 +122,7 @@ def test_run_point_rejects_bad_point_index_before_simulating(monkeypatch):
 
     monkeypatch.setattr(harness, "simulate_packet_set", no_simulation)
     cfg = SimConfig(packets=2, packet_bits=20)
-    for point_index in (-1, -2**40, 1.0, 2.5, "3", None):
+    for point_index in (-1, -2**40, 1.0, 2.5, "3", None, True, np.True_):
         with pytest.raises(ConfigurationError):
             run_point(cfg, 10.0, point_index)
 
@@ -192,6 +207,50 @@ def test_config_hash_ignores_workers_and_output():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(SimConfig(seed=1))
     assert config_hash(SimConfig()) == config_hash(SimConfig().resolved())
+    # the default config's hash, which every CSV of a default run carries
+    assert config_hash(SimConfig()) == "13b59155648a"
+
+
+def test_numpy_scalar_fields_give_the_same_records_and_bytes(tmp_path):
+    # numpy integers and bools are validated as the Python values they equal,
+    # and hashed as them too, so the two spellings write the same CSV
+    base = dict(scheme="dstc", code="c34", snr_db_list=(0.0, 8.0))
+    spellings = [
+        SimConfig(packets=3, packet_bits=50, seed=7, phases_override=5, noiseless=False, **base),
+        SimConfig(packets=np.int64(3), packet_bits=np.int32(50), seed=np.uint64(7),
+                  phases_override=np.int16(5), noiseless=np.False_, **base),
+    ]
+    assert len({config_hash(cfg) for cfg in spellings}) == 1
+    records = [run_sweep(cfg) for cfg in spellings]
+    assert records[0] == records[1]
+    for i, recs in enumerate(records):
+        emit_csv(recs, tmp_path / f"{i}.csv")
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+# slots_total of two 5000-bit packet sets at N = M: alamouti and c44 frame a
+# set in 1250 blocks, c34 in 834 (QPSK, 3 symbols a block)
+SLOTS_TOTAL = {
+    ("stssc", "alamouti"): 15000, ("stssc", "c34"): 25020, ("stssc", "c44"): 50000,
+    ("afost", "alamouti"): 15000, ("afost", "c34"): 20016, ("afost", "c44"): 50000,
+    ("dstc", "alamouti"): 20000, ("dstc", "c34"): 35028, ("dstc", "c44"): 80000,
+    ("direct", "alamouti"): 10000, ("direct", "c34"): 15012, ("direct", "c44"): 40000,
+}
+
+
+@pytest.mark.parametrize("phases_override", [None, 9])
+@pytest.mark.parametrize("scheme, code", list(SLOTS_TOTAL))
+def test_records_account_bits_and_slots(scheme, code, phases_override):
+    # every set carries packet_bits payload bits and costs its blocks times
+    # the scheme's slots per block, or phases_override slots per block
+    rec = run_point(SimConfig(scheme=scheme, code=code, packets=2, packet_bits=5000, seed=3,
+                              phases_override=phases_override), 5.0)
+    assert rec.bits_total == 10000 and rec.packets_total == 2
+    blocks = 2 * (834 if code == "c34" else 1250)
+    assert rec.slots_total == (SLOTS_TOTAL[scheme, code] if phases_override is None
+                               else blocks * phases_override)
+    assert rec.bit_errors > 0
+    assert rec.throughput_bps == (2 - rec.packet_errors) * 5000 / rec.slots_total * 20e6
 
 
 def test_phases_override_changes_only_slot_accounting():
@@ -312,15 +371,15 @@ def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, 
     real = harness.simulate_packet_set
     sets = multiprocessing.Value("i", 0)        # shared with the forked workers
 
-    def failing(scheme, design, constellation, N, M, rho, sigma2, fading, kappa_mode,
-                packet_bits, rngs, **kwargs):
+    def failing(scheme, design, constellation, N, rho, sigma2, fading, kappa_mode,
+                packet_bits, rngs):
         with sets.get_lock():
             sets.value += len(rngs)
         if rho == 1.0:                          # the 0 dB point
             raise error("injected worker failure")
         time.sleep(0.05)
-        return real(scheme, design, constellation, N, M, rho, sigma2, fading, kappa_mode,
-                    packet_bits, rngs, **kwargs)
+        return real(scheme, design, constellation, N, rho, sigma2, fading, kappa_mode,
+                    packet_bits, rngs)
 
     monkeypatch.setattr(harness, "simulate_packet_set", failing)
     snrs = tuple(float(s) for s in range(0, 20, 2))
@@ -537,7 +596,8 @@ SMALL_CONFIGS = st.builds(
 BROKEN_FIELDS = st.sampled_from([
     ("scheme", "relay"), ("code", "c88"), ("sources", 0), ("relays", 5), ("mod", "8psk"),
     ("fading", "nakagami"), ("normalization", "none"), ("snr_db_list", ()), ("packets", 0),
-    ("packet_bits", 0), ("seed", -1), ("phases_override", 0),
+    ("packet_bits", 0), ("seed", -1), ("phases_override", 0), ("noiseless", "false"),
+    ("snr_db_list", (0.0, "3")),
 ]) | st.tuples(st.just("snr_db_list"), st.lists(st.floats(), min_size=1, max_size=3).map(tuple))
 
 
