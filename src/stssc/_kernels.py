@@ -6,7 +6,7 @@ and quadratic metric terms as real BLAS matmuls over all candidates and
 keeps the first minimum, so ties go to the lowest candidate index.
 
 afost_argmin is the same search: the amplify-and-forward distance expands
-into the same linear and quadratic terms, which it forms first.
+into the same linear and quadratic terms, which it sums over the relays first.
 """
 
 import numpy as np
@@ -55,13 +55,23 @@ def joint_argmin(u, gram, xc, sqrt_rho):
     return _joint_argmin_numpy(u, gram, xc, float(sqrt_rho))
 
 
+def sum_products(a, b):
+    """sum_i a[i] * b[i] over the leading axis, added in order as np.sum(a * b, axis=0) adds."""
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total += x * y
+    return total
+
+
 def afost_argmin(y, F, xc):
     """Batched amplify-and-forward candidate argmin; returns (B, K) candidate indices.
 
     y: (B,M,K), F: (B,M,N), xc: (C,N).  Since ||y_t - F x||^2 =
     ||y_t||^2 - 2 Re(x^H F^H y_t) + ||F x||^2, this is joint_argmin's search
-    with u = F^H y, Gram = F^T F* and sqrt_rho = 1.
+    with u = F^H y, Gram = F^T F* and sqrt_rho = 1, summed over the relays along
+    the blocks; y and F are best transposed views of blocks-last arrays.
     """
-    u = F.conj().transpose(0, 2, 1) @ y                             # (B, N, K)
-    gram = F.transpose(0, 2, 1) @ F.conj()                          # (B, N, N)
-    return _joint_argmin_numpy(u, gram[:, None], xc, 1.0)
+    y, F = y.transpose(1, 2, 0), F.transpose(1, 2, 0)
+    u = sum_products(F.conj()[:, :, None], y[:, None])              # (N, K, B)
+    gram = sum_products(F[:, :, None], F.conj()[:, None])           # (N, N, B)
+    return _joint_argmin_numpy(u.transpose(2, 0, 1), gram.transpose(2, 0, 1)[:, None], xc, 1.0)

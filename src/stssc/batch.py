@@ -4,10 +4,11 @@ One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
 own generator.  It keeps the raw variates of all their blocks and runs
-the arithmetic on batched numpy arrays one tile of blocks at a time, so
-the symbols, gains and noise exist only for one tile.  stssc and afost share the relay gain rule
-(schemes.af_gains) and the candidate search (stssc._kernels).  The test
-suite checks the afost, dstc and direct baselines against dense
+the arithmetic one tile of blocks at a time, so the symbols, gains and
+noise exist only for one tile; stssc, afost and dstc copy a tile with the
+blocks on the last axis (blocks_last) and compute along them.  stssc and
+afost share the relay gain rule (schemes.af_gains) and the candidate
+search (stssc._kernels).  The tests check the baselines against dense
 per-block references replayed from the same random stream, and stssc's
 decisions against the brute-force oracle (decoder.brute_force_indices).
 
@@ -92,13 +93,14 @@ def set_bit_errors(constellation: Constellation, decided, bits) -> np.ndarray:
 
 
 def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
-    """Relay codeword columns sum_t (A[t,:,r] q[..., r, t] + B[t,:,r] q[..., r, t]*).
+    """Relay codeword columns sum_t (A[t,:,r] q[r, t, ...] + B[t,:,r] q[r, t, ...]*).
 
-    q: (..., M, K) per-relay symbols -> (..., M, T); slots a relay leaves empty are 0.
+    q: (M, K, ...) per-relay symbols, blocks on the trailing axes ->
+    (M, T, ...); slots a relay leaves empty are 0.
     """
-    z = np.zeros(q.shape[:-1] + (design.T,), dtype=complex)
-    relays = np.arange(design.M)[:, None]
-    z[..., relays, design.slot] = design.sign * np.where(design.conjugated, q.conj(), q)
+    z = np.zeros((design.M, design.T) + q.shape[2:], dtype=complex)
+    signed = design.sign.T * np.where(design.conjugated.T, q.T.conj(), q.T)     # (..., K, M)
+    z[np.arange(design.M)[:, None], design.slot] = signed.T
     return z
 
 
@@ -125,6 +127,11 @@ def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
     return stat
 
 
+def blocks_last(arrays) -> list:
+    """Copies with the leading (blocks) axis last, each popped off the list as it is copied."""
+    return [np.moveaxis(arrays.pop(0), 0, -1).copy() for _ in range(len(arrays))]
+
+
 def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2):
     """Relay-to-decision chain of a tile of stssc blocks; returns candidate indices (B, K).
 
@@ -132,20 +139,19 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     n: (B, M, K) broadcast noise, w: (B, M, T) forwarding noise.  The
     inputs are copied with the blocks moved to the last axis, so every
     operation runs along the B blocks rather than along axes of 2 to 4
-    entries, and q, u and the Gram are broadcast sums over the sources or
-    the relays.  The relay codewords and the destination's observations
-    are never formed (see relay_statistics).
+    entries, and q, u and the Gram are sums over the sources or the
+    relays.  The relay codewords and the destination's observations are
+    never formed (see relay_statistics).
     """
-    X, hSR, n, w = (a.transpose(1, 2, 0).copy() for a in (X, hSR, n, w))
-    hRD = hRD.T.copy()
+    X, hSR, hRD, n, w = blocks_last([X, hSR, hRD, n, w])
     g = af_gains(hSR, rho, sigma2, source_axis=0)                                # (M, B)
-    q = sqrt(rho) * np.sum(hSR[:, :, None] * X[:, None], axis=0) + n             # (M, K, B)
+    q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n       # (M, K, B)
     stat = relay_statistics(design, q, w, hRD, g)
     hRS = hSR.transpose(1, 0, 2)                                                 # (M, N, B)
     coef = g[:, None] * hRS.conj()
-    u = np.sum(stat[:, :, None] * coef[:, None], axis=0)                         # (K, N, B)
+    u = _kernels.sum_products(stat[:, :, None], coef[:, None])                   # (K, N, B)
     a = hRS * (g**2 * np.abs(hRD) ** 2)[:, None]
-    gram = np.sum(a[:, :, None] * hRS.conj()[:, None], axis=0)                   # (N, N, B)
+    gram = _kernels.sum_products(a[:, :, None], hRS.conj()[:, None])             # (N, N, B)
     return _kernels.joint_argmin(u.transpose(2, 1, 0), gram.transpose(2, 0, 1)[:, None],
                                  candidates_scaled, sqrt(rho))
 
@@ -220,37 +226,36 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     if scheme in ("stssc", "afost"):
         xc = kappa * enumerate_candidates(constellation, N)
 
-    def decide(X, *draws):
-        """Source 0's point indices (b, K) for a tile of b blocks and its draws."""
+    def decide(arrays):
+        """Source 0's point indices (b, K) for a tile of b blocks, given as the list [X, *draws]."""
         if scheme == "stssc":
-            idx = stssc_decode_batch(X, *draws, design, xc, rho, sigma2)
+            idx = stssc_decode_batch(*arrays, design, xc, rho, sigma2)
             return first_source_index(constellation, N, idx)
         if scheme == "afost":
-            hSR, hRD, n, w = draws
-            g = af_gains(hSR, rho, sigma2, source_axis=1)                           # (b, M)
-            q = sqrt(rho) * np.einsum("bnm,bnk->bmk", hSR, X) + n
-            y = (g * hRD)[:, :, None] * q + w
-            F = sqrt(rho) * (g * hRD)[:, :, None] * hSR.transpose(0, 2, 1)
-            return first_source_index(constellation, N, _kernels.afost_argmin(y, F, xc))
-        x0 = X[:, 0, :]                                                             # (b, K)
+            X, hSR, hRD, n, w = blocks_last(arrays)
+            g = af_gains(hSR, rho, sigma2, source_axis=0)                           # (M, b)
+            q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n  # (M, K, b)
+            y = (g * hRD)[:, None] * q + w                                          # (M, K, b)
+            F = sqrt(rho) * (g * hRD)[:, None] * hSR.transpose(1, 0, 2)             # (M, N, b)
+            del X, hSR, hRD, n, w, q                    # only y and F go into the search
+            idx = _kernels.afost_argmin(y.transpose(2, 0, 1), F.transpose(2, 0, 1), xc)
+            return first_source_index(constellation, N, idx)
         if scheme == "dstc":
-            # only destination 0's chain is simulated; the other sources' phases
-            # are time-orthogonal and enter the slot accounting only
-            hSR0, hRD, n, w = draws
-            q = sqrt(rho) * hSR0[:, :, None] * x0[:, None, :] + n
-            rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, :, None]))
-            cols = relay_encode(design, rd)
+            # destination 0's chain alone: the other sources' phases are time-orthogonal;
+            # heq keeps its einsum on the block-first hRD, arrays[2] (an np.sum rounds otherwise)
             scale = sqrt(rho / M) * kappa
-            y = scale * np.einsum("br,brt->bt", hRD, cols) + w
-            heff = scale * hRD                                                      # (b, M)
-            # relay_statistics' signed gather, summed over the relays
-            stat = heff.conj()[:, :, None] * (design.sign * y[:, design.slot])      # (b, M, K)
-            np.negative(stat.imag, out=stat.imag, where=design.conjugated)
-            z = np.sum(stat, axis=1)                                                # (b, K)
-            heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(heff) ** 2)
-            return nearest_index(constellation, z / heq)
-        hSD0, w = draws
-        y = sqrt(rho) * hSD0[:, None] * x0 + w
+            heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(scale * arrays[2]) ** 2)
+            arrays[0] = arrays[0][:, 0]                                             # x0 (b, K)
+            x0, hSR0, hRD, n, w = blocks_last(arrays)
+            q = sqrt(rho) * hSR0[:, None] * x0 + n                                  # (M, K, b)
+            rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, None]))
+            y = scale * _kernels.sum_products(hRD[:, None], relay_encode(design, rd)) + w
+            # relay_statistics' signed gather with heff = scale hRD, summed over the relays
+            stat = (scale * hRD).conj()[:, None] * (design.sign[:, :, None] * y[design.slot])
+            np.negative(stat.imag, out=stat.imag, where=design.conjugated[:, :, None])
+            return nearest_index(constellation, np.sum(stat, axis=0) / heq.T).T
+        X, hSD0, w = arrays
+        y = sqrt(rho) * hSD0[:, None] * X[:, 0] + w
         return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
     def formed(kind, shape, parts):
@@ -264,13 +269,13 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     decided0 = np.empty((B, K), dtype=np.int8)
     for lo in range(0, B, BLOCK_BUDGET):
         tile = slice(lo, lo + BLOCK_BUDGET)
-        X = points[sym[tile]]                                                       # (b, N, K)
-        draws = [formed(kind, (len(X),) + shape, [part[tile] for part in parts])
-                 for kind, shape, parts in variates]
+        arrays = [points[sym[tile]]]                                                # X (b, N, K)
+        arrays += [formed(kind, (len(arrays[0]),) + shape, [part[tile] for part in parts])
+                   for kind, shape, parts in variates]
         if tile.stop >= B:
             # the last tile's draws are formed, so the raw variates can go
             # before it decides; a one-tile call then never holds both
             variates.clear()
-        decided0[tile] = decide(X, *draws)
+        decided0[tile] = decide(arrays)
 
     return set_bit_errors(constellation, decided0.reshape(S, -1), bits0)

@@ -76,8 +76,18 @@ def label_bits(c: Constellation, idx) -> np.ndarray:
 
 
 def nearest_index(c: Constellation, est) -> np.ndarray:
-    """Index of the constellation point nearest each estimate; a tie goes to the first such point."""
-    return np.argmin(np.abs(est[..., None] - c.points), axis=-1)
+    """Index of the constellation point nearest each estimate; a tie goes to the first such point.
+
+    Only a strictly smaller |est - p_j| moves the index, as argmin's first minimum; an
+    estimate's distances are all NaN or all inf together, and it keeps index 0 as there.
+    """
+    best = np.abs(est - c.points[0])
+    idx = np.zeros(best.shape, dtype=np.intp)
+    for j in range(1, c.size):
+        dist = np.abs(est - c.points[j])
+        np.putmask(idx, dist < best, j)
+        np.minimum(best, dist, out=best)
+    return idx
 
 
 def nearest_points(c: Constellation, est) -> np.ndarray:

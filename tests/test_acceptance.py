@@ -174,9 +174,9 @@ def test_criterion_05_power_constraint():
             rng.normal(size=(reps, design.K)) + 1j * rng.normal(size=(reps, design.K))
         )
         q = np.sqrt(rho) * np.einsum("bn,bnk->bk", h, x) + w
-        # every relay encodes the same observation q
-        z = g[:, None, None] * relay_encode(design, np.repeat(q[:, None], design.M, axis=1))
-        peak = np.max(np.mean(np.abs(z) ** 2, axis=0), axis=1)                   # (M,)
+        # every relay encodes the same observation q; draws on the last axis
+        z = g * relay_encode(design, np.repeat(q.T[None], design.M, axis=0))
+        peak = np.max(np.mean(np.abs(z) ** 2, axis=2), axis=1)                   # (M,)
         bound = rho * np.max(np.sum(np.abs(design.A) ** 2 + np.abs(design.B) ** 2, axis=1),
                              axis=0)                                              # (M,)
         ok &= bool(np.all(peak <= bound * 1.02))

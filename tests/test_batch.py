@@ -42,7 +42,8 @@ def test_relay_statistics_equal_encode_forward_matched_filter(name):
         return np.moveaxis(a, 0, -1).copy()
 
     q, w, hRD, g = cn(B, d.M, d.K), cn(B, d.M, d.T), cn(B, d.M), rng.random((B, d.M))
-    y = hRD[:, :, None] * (g[:, :, None] * relay_encode(d, q)) + w
+    cols = np.moveaxis(relay_encode(d, blocks_last(q)), -1, 0)                     # (B, M, T)
+    y = hRD[:, :, None] * (g[:, :, None] * cols) + w
     P = np.einsum("ktr,brt->brk", d.A.conj(), y)
     Q = np.einsum("ktr,brt->brk", d.B, y.conj())
     dense = np.ascontiguousarray(hRD.conj()[:, :, None] * P + hRD[:, :, None] * Q)  # (B, M, K)
@@ -329,7 +330,10 @@ def test_long_stssc_set_memory_is_bounded():
 # single 1024-block tile, whose raw variates are freed once its draws are
 # formed; holding them while the tile decided peaked at 4.20 (afost/c44),
 # 1.48 (afost/alamouti), 5.74 (stssc/c44) and 3.31 MB (dstc/c44), and freeing
-# them gave 3.35, 1.25, 5.05 and 2.85 MB
+# them gave 3.35, 1.25, 5.05 and 2.85 MB (dstc 2.52 MB once its destination
+# statistic was computed directly).  Deciding afost and dstc blocks-last, with
+# the tile's block-first arrays freed once copied and afost's y and F the only
+# arrays it holds into its search, gives 2.17, 0.89, 4.79 and 2.03 MB
 ONE_TILE_MEMORY_BOUNDS = {
     ("afost", "c44", "rayleigh"): 3.7e6, ("afost", "alamouti", "rayleigh"): 1.35e6,
     ("stssc", "c44", "unit-mag"): 5.4e6, ("dstc", "c44", "rayleigh"): 3.05e6,
@@ -381,6 +385,59 @@ def test_results_are_pinned(scheme, code, fading):
     errors = simulate_packet_set(scheme, d, constellation_for(d), d.M, 10 ** 0.5, 1.0, fading,
                                  "perslot", 5000, [np.random.default_rng(s) for s in (81, 82)])
     assert errors.tolist() == list(PINNED_RESULTS[scheme, code, fading])
+
+
+# destination 0's bit errors in each of 32 128-bit sets (seeds 200 to 231) at
+# 5 dB, N = M, decided in one call whose single 1024-block tile spans every
+# set, as the simulator gave them before afost and dstc decided blocks-last
+PINNED_SHORT_SETS = {
+    ("afost", "alamouti", "unit-mag"): (41, 27, 27, 33, 25, 21, 19, 28, 29, 34, 35, 27, 37, 26, 23,
+        32, 20, 28, 23, 29, 20, 33, 21, 25, 20, 25, 23, 35, 32, 21, 26, 31),
+    ("afost", "alamouti", "rayleigh"): (32, 16, 31, 30, 34, 25, 38, 37, 38, 26, 38, 36, 40, 37, 32,
+        29, 36, 33, 33, 33, 34, 40, 30, 33, 33, 35, 30, 33, 39, 31, 42, 34),
+    ("afost", "c34", "unit-mag"): (30, 32, 27, 36, 27, 25, 31, 29, 29, 32, 30, 27, 29, 23, 37, 31,
+        28, 41, 33, 31, 28, 24, 29, 41, 28, 35, 28, 36, 32, 35, 27, 30),
+    ("afost", "c34", "rayleigh"): (37, 37, 36, 33, 36, 43, 37, 43, 35, 33, 38, 34, 45, 41, 33, 31,
+        26, 30, 35, 34, 33, 42, 29, 44, 44, 41, 28, 32, 49, 41, 39, 39),
+    ("afost", "c44", "unit-mag"): (16, 30, 17, 12, 23, 24, 25, 26, 24, 20, 19, 24, 23, 20, 22, 20,
+        17, 17, 23, 27, 18, 28, 21, 22, 24, 18, 29, 23, 19, 12, 16, 22),
+    ("afost", "c44", "rayleigh"): (32, 27, 39, 24, 19, 23, 28, 30, 27, 40, 22, 21, 22, 34, 23, 29,
+        33, 22, 26, 27, 27, 20, 25, 24, 24, 25, 27, 19, 27, 25, 24, 18),
+    ("dstc", "alamouti", "unit-mag"): (36, 26, 20, 28, 25, 26, 23, 16, 26, 26, 21, 23, 19, 25, 22,
+        34, 27, 26, 28, 30, 26, 30, 25, 25, 23, 30, 30, 22, 32, 23, 23, 29),
+    ("dstc", "alamouti", "rayleigh"): (38, 43, 32, 29, 35, 39, 38, 40, 31, 32, 35, 41, 24, 37, 40,
+        35, 45, 31, 34, 36, 34, 32, 28, 34, 31, 39, 38, 33, 34, 40, 39, 35),
+    ("dstc", "c34", "unit-mag"): (38, 37, 33, 49, 33, 43, 33, 38, 36, 33, 44, 35, 31, 37, 32, 40,
+        32, 35, 36, 40, 32, 36, 32, 41, 48, 36, 26, 33, 39, 31, 38, 38),
+    ("dstc", "c34", "rayleigh"): (49, 36, 34, 42, 46, 38, 33, 43, 30, 41, 35, 47, 44, 44, 39, 48,
+        40, 37, 35, 33, 38, 32, 40, 40, 44, 40, 40, 39, 44, 50, 33, 44),
+    ("dstc", "c44", "unit-mag"): (23, 25, 28, 22, 20, 17, 25, 18, 28, 24, 25, 25, 20, 18, 23, 28,
+        19, 18, 39, 30, 17, 21, 24, 21, 22, 21, 25, 24, 29, 23, 20, 26),
+    ("dstc", "c44", "rayleigh"): (28, 26, 29, 33, 32, 31, 31, 39, 30, 29, 33, 32, 36, 36, 50, 33,
+        39, 33, 33, 33, 32, 36, 29, 34, 30, 31, 26, 27, 37, 31, 21, 30),
+    ("direct", "alamouti", "unit-mag"): (12, 12, 10, 13, 17, 10, 18, 15, 8, 13, 13, 14, 18, 14, 15,
+        4, 18, 13, 10, 21, 14, 20, 14, 10, 8, 17, 21, 11, 11, 12, 14, 13),
+    ("direct", "alamouti", "rayleigh"): (18, 17, 24, 26, 21, 25, 22, 18, 27, 24, 28, 18, 26, 24,
+        20, 19, 19, 27, 15, 27, 16, 19, 20, 19, 16, 21, 24, 20, 20, 23, 13, 16),
+    ("direct", "c34", "unit-mag"): (20, 18, 21, 22, 17, 23, 23, 15, 23, 20, 24, 16, 16, 18, 28, 15,
+        17, 23, 21, 28, 16, 17, 19, 13, 12, 21, 29, 15, 23, 22, 24, 16),
+    ("direct", "c34", "rayleigh"): (34, 25, 42, 32, 22, 21, 20, 23, 27, 19, 20, 35, 21, 15, 27, 35,
+        23, 31, 25, 26, 32, 22, 25, 18, 27, 24, 27, 27, 26, 22, 31, 30),
+    ("direct", "c44", "unit-mag"): (16, 16, 17, 14, 9, 20, 17, 15, 13, 12, 12, 12, 8, 6, 13, 13,
+        14, 12, 9, 13, 15, 19, 9, 12, 15, 17, 10, 14, 15, 10, 17, 13),
+    ("direct", "c44", "rayleigh"): (23, 21, 25, 16, 25, 24, 10, 20, 17, 15, 26, 18, 20, 23, 14, 33,
+        25, 24, 17, 17, 17, 27, 12, 25, 25, 24, 22, 26, 22, 30, 23, 29),
+}
+
+
+@pytest.mark.parametrize("scheme, code, fading", list(PINNED_SHORT_SETS))
+def test_short_set_results_are_pinned(scheme, code, fading):
+    d = build_design(code)
+    rngs = [np.random.default_rng(s) for s in range(200, 232)]
+    errors = simulate_packet_set(scheme, d, constellation_for(d), d.M, 10 ** 0.5, 1.0, fading,
+                                 "perslot", 128, rngs)
+    assert errors.tolist() == list(PINNED_SHORT_SETS[scheme, code, fading])
+    assert errors.min() > 0
 
 
 def test_direct_low_snr_random_guessing():

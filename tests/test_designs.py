@@ -260,9 +260,9 @@ def test_relay_encode_equals_codeword_bit_for_bit(name):
     x = rng.normal(size=(50, d.K))
     if not d.real_only:
         x = x + 1j * rng.normal(size=(50, d.K))
-    q = np.repeat(x[:, None, :], d.M, axis=1)                      # every relay holds x
-    z = relay_encode(d, q)                                          # (B, M, T)
-    expected = np.stack([codeword(d, row).T for row in x])
+    q = np.repeat(x.T[None], d.M, axis=0)                          # every relay holds x
+    z = relay_encode(d, q)                                          # (M, T, B)
+    expected = np.stack([codeword(d, row).T for row in x], axis=-1)
     np.testing.assert_array_equal(z, expected)
 
 

@@ -62,22 +62,35 @@ def afost_broadcast(y, F, xc):
     return np.argmin(afost_distances(y, F, xc), axis=2)
 
 
+def blocks_last_views(*arrays):
+    # (B, ...) transposed views of blocks-last copies, as the batch passes y and F
+    views = [np.moveaxis(a, 0, -1).copy().transpose(2, 0, 1) for a in arrays]
+    assert not any(v.flags.c_contiguous for v in views)
+    return views
+
+
+def assert_afost_argmin_is_broadcast(y, F, xc):
+    # on C-contiguous arrays and on the batch's strided views alike
+    expected = afost_broadcast(y, F, xc)
+    np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc), expected)
+    np.testing.assert_array_equal(_kernels.afost_argmin(*blocks_last_views(y, F), xc), expected)
+
+
 def test_afost_argmin_matches_broadcast():
     rng = np.random.default_rng(6)
     for N, K, M in ((1, 2, 2), (2, 2, 2), (3, 3, 3), (4, 4, 4)):
         _, _, y, F, xc = random_problem(rng, B=300, N=N, K=K, M=M)
-        np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc),
-                                      afost_broadcast(y, F, xc))
+        assert_afost_argmin_is_broadcast(y, F, xc)
         # a source whose gains are all 0 ties the candidates that differ only
         # in its symbol: both keep the first of them
         F = F * (rng.uniform(size=(300, 1, N)) < 0.5)
-        np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc),
-                                      afost_broadcast(y, F, xc))
+        assert_afost_argmin_is_broadcast(y, F, xc)
     # zero gains tie every candidate: both keep the first minimum
     xc = enumerate_candidates(get_constellation("qpsk"), 2)
     y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     F = np.zeros((3, 2, 2), dtype=complex)
     np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc), 0)
+    np.testing.assert_array_equal(_kernels.afost_argmin(*blocks_last_views(y, F), xc), 0)
     np.testing.assert_array_equal(afost_broadcast(y, F, xc), 0)
 
 

@@ -1,5 +1,10 @@
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stssc.errors import ConfigurationError, ConsistencyError, UsageError
 from stssc.modem import (
@@ -60,6 +65,52 @@ def test_nearest_points_are_the_points_at_nearest_index(name):
     est = np.random.default_rng(4).normal(size=(50, 3)) @ [1, 1j, 0.3]
     np.testing.assert_array_equal(nearest_points(c, est), c.points[nearest_index(c, est)])
     np.testing.assert_array_equal(nearest_index(c, c.points), np.arange(c.size))
+
+
+# estimate parts that sit on or next to a decision boundary, or are not finite:
+# a zero real part is a BPSK midpoint (0, +-j x), a zero part of either kind
+# puts a QPSK estimate on an axis, between two points
+SPECIAL_PARTS = (0.0, -0.0, 1e-300, -1e-300, 1 / sqrt(2), -1 / sqrt(2), 0.5, -2.0,
+                 np.inf, -np.inf, np.nan)
+
+
+def argmin_reference(c, est):
+    return np.argmin(np.abs(est[..., None] - c.points), axis=-1)
+
+
+def assert_nearest_index_is_argmin(c, est):
+    with np.errstate(over="ignore"):                # |est - p| of parts near 1e308
+        got, expected = nearest_index(c, est), argmin_reference(c, est)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(got, expected)
+
+
+def complex_array(re, im):
+    # parts set one by one: re + 1j * im would turn an infinite part into NaNs
+    est = np.empty(re.shape, dtype=complex)
+    est.real, est.imag = re, im
+    return est
+
+
+@pytest.mark.parametrize("name", ["bpsk", "qpsk"])
+def test_nearest_index_equals_argmin_on_every_pair_of_special_parts(name):
+    c = get_constellation(name)
+    re, im = np.meshgrid(SPECIAL_PARTS, SPECIAL_PARTS)
+    est = complex_array(re, im)                                     # (b, K) = (11, 11)
+    assert_nearest_index_is_argmin(c, est)
+    assert_nearest_index_is_argmin(c, np.stack([est.T, -est.T, est.T.conj()]))  # (M, K, b)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["bpsk", "qpsk"]), blocks_last=st.booleans(), data=st.data())
+def test_nearest_index_equals_argmin(name, blocks_last, data):
+    c = get_constellation(name)
+    b, K, M = (data.draw(st.integers(1, n)) for n in (64, 4, 4))
+    shape = (M, K, b) if blocks_last else (b, K)
+    part = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats(-3.0, 3.0), st.floats())
+    est = complex_array(data.draw(arrays(np.float64, shape, elements=part)),
+                        data.draw(arrays(np.float64, shape, elements=part)))
+    assert_nearest_index_is_argmin(c, est)
 
 
 def test_demap_rejects_off_constellation_point():
