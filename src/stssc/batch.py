@@ -3,10 +3,10 @@
 One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
-own generator.  It keeps the raw variates of all their blocks and runs
-the arithmetic one tile of blocks at a time, so the symbols, gains and
-noise exist only for one tile; stssc, afost and dstc copy a tile with the
-blocks on the last axis (blocks_last) and compute along them.  stssc and
+own generator, in tiles of at most BLOCK_BUDGET blocks (whole sets, or a block
+range of a longer set) whose variates are drawn just before they are formed, so
+the draws, symbols, gains and noise exist for one tile (or longer set) only.
+stssc, afost and dstc compute along the blocks of a blocks_last copy.  stssc and
 afost share the relay gain rule (schemes.af_gains) and the candidate
 search (stssc._kernels).  The tests check the baselines against dense
 per-block references replayed from the same random stream, and stssc's
@@ -26,33 +26,33 @@ Each set's bit errors are counted for the designated destination (source
 index 0), padding bits excluded; the harness does the bit, packet and slot
 accounting.  Decisions stay point indices to the end: stssc and afost take
 source 0's digit of the candidate index, dstc and direct decide with
-nearest_index, and the bits are the indices' Gray labels, so no decided
-point is formed or demapped.
+nearest_index, and the bits that differ are those of the decided and sent
+indices' XOR (their Gray labels), so no decided point is formed or demapped.
 """
 
-from math import ceil, sqrt
+from math import ceil, prod, sqrt
 
 import numpy as np
 
 from . import _kernels
-from .channel import _complex_noise, _gain_methods, _gains, _set_variates
+from .channel import _complex_noise, _gain_methods, _gains
 from .decoder import enumerate_candidates, first_source_index
 from .designs import OrthogonalDesign
 # demap_hard and modulate are unused here, since bits come from decision
 # indices and symbols from point indices; they stay bound because
 # perfbench's tracer wraps batch.demap_hard and batch.modulate by name
 from .modem import (
-    Constellation, _pad_bits, demap_hard, kappa_for, label_bits, modulate, nearest_index,
-    nearest_points, point_index,
+    Constellation, _pad_bits, demap_hard, kappa_for, modulate, nearest_index, nearest_points,
+    point_index,
 )
 from .schemes import af_gains
 
-# coherence blocks per unit of batched work: the harness simulates packet sets
-# in groups of at most this many blocks (at least one set), and
-# simulate_packet_set forms symbols, gains and noise and runs every scheme's
-# arithmetic in tiles of this many blocks, so that only the raw random draws
-# grow with the packet set
+# coherence blocks per tile: simulate_packet_set draws, forms and decides at
+# most this many blocks at a time (whole sets, or a block range of a longer
+# set), and the harness groups packet sets by TILES_PER_CALL tiles' worth of
+# blocks (at least one set), so that a call's fixed costs are shared by tiles
 BLOCK_BUDGET = 1024
+TILES_PER_CALL = 4
 
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
@@ -62,9 +62,7 @@ SLOT_RULES = {
 }
 SCHEMES = tuple(SLOT_RULES)
 
-# the draws after the bits, in draw order: (per-block shape, kind); a gain
-# takes channel._gain_methods' variates, noise two normals (none when
-# sigma2 = 0)
+# the draws after the bits, in draw order: (per-block shape, kind); see draw_plan
 DRAW_RULES = {
     "stssc": lambda N, M, K, T: (((N, M), "gain"), ((M,), "gain"),
                                  ((M, K), "noise"), ((M, T), "noise")),
@@ -82,14 +80,17 @@ def blocks_per_set(design: OrthogonalDesign, constellation: Constellation,
     return ceil(packet_bits / (constellation.bits_per_symbol * design.K))
 
 
-def set_bit_errors(constellation: Constellation, decided, bits) -> np.ndarray:
-    """Bit errors per set: decided (S, n) point indices against the sent bits (S, L).
+def set_bit_errors(constellation: Constellation, decided, sent, packet_bits: int) -> np.ndarray:
+    """Bit errors per set: decided (S, n) point indices against the sent ones, of packet_bits bits.
 
-    The decisions' label bits past the first L (symbol and block padding)
-    are not counted.
+    An index is its point's Gray label, so the differing bits are those set in the XOR of
+    the indices; padding symbols and the last real symbol's padding (low) bits are skipped.
     """
-    rx_bits = label_bits(constellation, decided).reshape(len(bits), -1)[:, :bits.shape[1]]
-    return np.count_nonzero(rx_bits != bits, axis=1)
+    bps = constellation.bits_per_symbol
+    n_syms = ceil(packet_bits / bps)
+    diff = decided[:, :n_syms] ^ sent[:, :n_syms]
+    diff[:, -1] &= -1 << (n_syms * bps - packet_bits)
+    return sum(np.count_nonzero(diff & (1 << b), axis=1) for b in range(bps))
 
 
 def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
@@ -129,7 +130,7 @@ def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
 
 def blocks_last(arrays) -> list:
     """Copies with the leading (blocks) axis last, each popped off the list as it is copied."""
-    return [np.moveaxis(arrays.pop(0), 0, -1).copy() for _ in range(len(arrays))]
+    return [a.transpose(*range(1, a.ndim), 0).copy() for a in map(arrays.pop, [0] * len(arrays))]
 
 
 def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2):
@@ -168,18 +169,61 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
     integers would leave it buffered in the bit generator for its next
     32-bit draw, so a generator reused for another call would continue
     differently from one that drew with integers.  The harness never reuses
-    one.  Each set's words are shifted straight into the bits, so no array
-    of every set's words is kept.
+    one.  The bits are shifted out of every set's words at once.
     """
     n = N * L
+    words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
     bits = np.empty((len(rngs), n), dtype=np.int64)
     out = bits.view(np.uint64)
-    for rng, row in zip(rngs, out):
-        words = rng.bit_generator.random_raw((n + 1) // 2)
-        np.right_shift(words, 31, out=row[0::2])
-        np.right_shift(words[:n // 2], 63, out=row[1::2])
+    np.right_shift(words, 31, out=out[:, 0::2])
+    np.right_shift(words[:, :n // 2], 63, out=out[:, 1::2])
     out[:, 0::2] &= 1
     return bits.reshape(len(rngs), N, L)
+
+
+def draw_plan(rules, fading: str, sigma2: float, n_blocks: int) -> list:
+    """A set's Generator fills for DRAW_RULES rules over n_blocks blocks, in runs of one method.
+
+    A gain takes channel._gain_methods' variates, noise two normals (none when
+    sigma2 = 0).  Returns [(method, [(rules entry, start, stop, per-block shape), ...])];
+    one fill of a run's summed size gives its fills' values, as the fills in turn would.
+    """
+    normal = np.random.Generator.standard_normal
+    methods = {"gain": _gain_methods(fading), "noise": (normal, normal) if sigma2 else ()}
+    plan = []
+    for entry, (shape, kind) in enumerate(rules):
+        for method in methods[kind]:
+            if not plan or plan[-1][0] != method:
+                plan.append((method, []))
+                start = 0
+            size = n_blocks * prod(shape)
+            plan[-1][1].append((entry, start, start + size, shape))
+            start += size
+    return plan
+
+
+def draw_variates(plan, rngs) -> dict:
+    """A draw_plan's variates {entry: [(S, n_blocks, *shape) view per fill]}, set i's by rngs[i]."""
+    parts = {}
+    for method, fills in plan:
+        raw = np.empty((len(rngs), fills[-1][2]))
+        for rng, row in zip(rngs, raw):
+            method(rng, out=row)
+        for entry, start, stop, shape in fills:
+            parts.setdefault(entry, []).append(raw[:, start:stop].reshape((len(rngs), -1) + shape))
+    return parts
+
+
+def afost_observations(X, hSR, hRD, n, w, rho: float, sigma2: float):
+    """afost's observations y (M, K, B) = F x + g hRD n + w and channel F (M, N, B), blocks last.
+
+    X (N, K, B), hSR (N, M, B), hRD (M, B), n (M, K, B) and w (M, K, B) as in blocks_last.
+    """
+    g = af_gains(hSR, rho, sigma2, source_axis=0)                                   # (M, B)
+    q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n          # (M, K, B)
+    y = (g * hRD)[:, None] * q + w
+    F = sqrt(rho) * (g * hRD)[:, None] * hSR.transpose(1, 0, 2)
+    return y, F
 
 
 def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Constellation,
@@ -187,13 +231,12 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
                         kappa_mode: str, packet_bits: int, rngs) -> np.ndarray:
     """Simulate one packet set per generator in rngs; returns their (S,) destination-0 bit errors.
 
-    Set i draws from rngs[i] alone: its bits (source_bits), then the
-    scheme's DRAW_RULES, each over all its blocks.  Only source 0's bits,
-    the symbols' point indices and the raw variates are kept for the whole
-    call; the symbols, gains and noise are formed, and the scheme decides,
-    one tile of BLOCK_BUDGET blocks at a time.  Every block's arithmetic is
-    independent of the other blocks, so each set's errors do not depend on
-    which sets share the call or on how the blocks are cut into tiles.
+    Set i draws from rngs[i] alone: its bits (source_bits), then the scheme's
+    DRAW_RULES over all its blocks (draw_plan).  Only the symbols' point indices
+    span the call: a tile's sets draw just before it is formed (a longer set
+    before its first tile) and their raw variates go before it (its last tile)
+    decides.  Blocks are independent, so each set's errors do not depend on
+    which sets share the call or on how it is cut into tiles.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -204,24 +247,18 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     kappa = kappa_for(N, kappa_mode, T)
     n_blocks = blocks_per_set(design, constellation, L)
     n_syms = ceil(L / bps)
-    B = S * n_blocks
 
-    bits = source_bits(rngs, N, L)
+    idx = point_index(constellation, _pad_bits(source_bits(rngs, N, L), bps))
     # a padding symbol's index is constellation.size, the 0 appended to the points
     sym = np.full((S, N, n_blocks * K), constellation.size, dtype=np.int8)
-    sym[..., :n_syms] = point_index(constellation, _pad_bits(bits, bps)).reshape(S, N, n_syms)
-    sym = sym.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3).reshape(B, N, K)
+    sym[..., :n_syms] = idx.reshape(S, N, n_syms)
+    del idx
+    sent0 = sym[:, 0]
+    sym = sym.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3)            # (S, n_blocks, N, K)
     points = kappa * np.append(constellation.points, 0)
-    bits0 = bits[:, 0].astype(np.int8)
-    del bits
 
-    normal = np.random.Generator.standard_normal
-    methods = {"gain": _gain_methods(fading), "noise": (normal, normal) if sigma2 else ()}
-    variates = []               # per draw: kind, per-block shape, (B, *shape) raw variates
-    for shape, kind in DRAW_RULES[scheme](N, M, K, T):
-        size = (n_blocks,) + shape
-        variates.append((kind, shape, [_set_variates(rngs, m, size).reshape((B,) + shape)
-                                       for m in methods[kind]]))
+    rules = DRAW_RULES[scheme](N, M, K, T)
+    plan = draw_plan(rules, fading, sigma2, n_blocks)
 
     if scheme in ("stssc", "afost"):
         xc = kappa * enumerate_candidates(constellation, N)
@@ -232,12 +269,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             idx = stssc_decode_batch(*arrays, design, xc, rho, sigma2)
             return first_source_index(constellation, N, idx)
         if scheme == "afost":
-            X, hSR, hRD, n, w = blocks_last(arrays)
-            g = af_gains(hSR, rho, sigma2, source_axis=0)                           # (M, b)
-            q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n  # (M, K, b)
-            y = (g * hRD)[:, None] * q + w                                          # (M, K, b)
-            F = sqrt(rho) * (g * hRD)[:, None] * hSR.transpose(1, 0, 2)             # (M, N, b)
-            del X, hSR, hRD, n, w, q                    # only y and F go into the search
+            y, F = afost_observations(*blocks_last(arrays), rho, sigma2)
             idx = _kernels.afost_argmin(y.transpose(2, 0, 1), F.transpose(2, 0, 1), xc)
             return first_source_index(constellation, N, idx)
         if scheme == "dstc":
@@ -258,24 +290,28 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         y = sqrt(rho) * hSD0[:, None] * X[:, 0] + w
         return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
 
-    def formed(kind, shape, parts):
-        """One tile's draw from its raw variates parts: gains, noise, or zeros when sigma2 = 0."""
+    def formed(kind, shape, parts, b):
+        """A tile's b blocks of one draw from its raw variates parts: gains, noise, or zeros."""
         if kind == "gain":
-            return _gains(fading, parts)
+            return _gains(fading, parts).reshape((b,) + shape)
         if sigma2:
-            return _complex_noise(sigma2, *parts)
-        return np.zeros(shape, dtype=complex)
+            return _complex_noise(sigma2, *parts).reshape((b,) + shape)
+        return np.zeros((b,) + shape, dtype=complex)
 
-    decided0 = np.empty((B, K), dtype=np.int8)
-    for lo in range(0, B, BLOCK_BUDGET):
-        tile = slice(lo, lo + BLOCK_BUDGET)
-        arrays = [points[sym[tile]]]                                                # X (b, N, K)
-        arrays += [formed(kind, (len(arrays[0]),) + shape, [part[tile] for part in parts])
-                   for kind, shape, parts in variates]
-        if tile.stop >= B:
-            # the last tile's draws are formed, so the raw variates can go
-            # before it decides; a one-tile call then never holds both
-            variates.clear()
-        decided0[tile] = decide(arrays)
+    decided0 = np.empty((S, n_blocks, K), dtype=np.int8)
+    per_tile = max(1, BLOCK_BUDGET // n_blocks)                     # whole sets, or one longer set
+    for s0 in range(0, S, per_tile):
+        sets = slice(s0, s0 + per_tile)
+        parts = draw_variates(plan, rngs[sets])
+        for b0 in range(0, n_blocks, BLOCK_BUDGET):
+            blocks = slice(b0, b0 + BLOCK_BUDGET)
+            out = decided0[sets, blocks]
+            arrays = [points[sym[sets, blocks]].reshape(-1, N, K)]                 # X (b, N, K)
+            arrays += [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
+                              len(arrays[0]))
+                       for entry, (shape, kind) in enumerate(rules)]
+            if blocks.stop >= n_blocks:
+                parts.clear()           # the sets' raw variates go before their last tile decides
+            out[...] = decide(arrays).reshape(out.shape)
 
-    return set_bit_errors(constellation, decided0.reshape(S, -1), bits0)
+    return set_bit_errors(constellation, decided0.reshape(S, -1), sent0, L)

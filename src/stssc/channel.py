@@ -81,14 +81,6 @@ def _draw_gains(model: str, rng: np.random.Generator, shape) -> np.ndarray:
     return _gains(model, [method(rng, size=shape) for method in _gain_methods(model)])
 
 
-def _set_variates(rngs, method, shape) -> np.ndarray:
-    """(len(rngs), *shape) variates of a Generator method, slice i drawn in place from rngs[i]."""
-    out = np.empty((len(rngs),) + shape)
-    for rng, part in zip(rngs, out):
-        method(rng, out=part)
-    return out
-
-
 def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generator,
                  sigma2: float = 1.0) -> ChannelRealization:
     """One coherence block's gains: i.i.d. CN(0,1) (rayleigh) or e^{j theta} (unit-mag)."""

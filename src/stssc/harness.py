@@ -245,22 +245,23 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    sets: range) -> tuple[int, int]:
     """Run a range of packet sets; returns their (bit_errors, packet_errors) at destination 0.
 
-    Consecutive sets are simulated in groups of at most batch.BLOCK_BUDGET
-    blocks (at least one set): enough sets to spread simulate_packet_set's
-    fixed per-call costs.  Each set keeps its own PCG64 generator, seeded as
-    default_rng(SeedSequence([seed, point_index, set])) would be, so grouping
-    does not change the totals.  The seeds of up to SEEDS_PER_HASH sets are
-    hashed at once (_set_seeds), and each group's generators are built from
-    them; only those sets' indices are ever held as an array.  Serial runs
-    and pool workers both come through here, so every process that simulates
-    first takes the heap policy of _raise_malloc_thresholds.
+    Consecutive sets are simulated in groups of at most batch.TILES_PER_CALL
+    tiles of batch.BLOCK_BUDGET blocks (at least one set), so that several tiles
+    share simulate_packet_set's fixed per-call costs.  Each set keeps its own
+    PCG64 generator, seeded as default_rng(SeedSequence([seed, point_index,
+    set])) would be, so grouping does not change the totals.  The seeds of up
+    to SEEDS_PER_HASH sets are hashed at once (_set_seeds), and each group's
+    generators are built from them; only those sets' indices are ever held as
+    an array.  Serial runs and pool workers both come through here, so every
+    process that simulates first takes the heap policy of _raise_malloc_thresholds.
     """
     _raise_malloc_thresholds()
     design = build_design(cfg.code)
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
-    group = max(1, batch.BLOCK_BUDGET // blocks_per_set(design, constellation, cfg.packet_bits))
+    group = max(1, batch.TILES_PER_CALL * batch.BLOCK_BUDGET
+               // blocks_per_set(design, constellation, cfg.packet_bits))
     per_hash = group * max(1, SEEDS_PER_HASH // group)
     bit_errors = packet_errors = 0
     for lo in range(sets.start, sets.stop, per_hash):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from stssc import batch
+from stssc import _kernels, batch
 from stssc.batch import (
     SLOT_RULES, blocks_per_set, relay_encode, relay_statistics,
     simulate_packet_set, stssc_decode_batch,
@@ -19,7 +20,10 @@ from stssc.batch import (
 from stssc.channel import FADING_MODELS, ChannelRealization, _draw_gains, awgn
 from stssc.decoder import enumerate_candidates, first_source_index, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design
-from stssc.modem import Packet, demap_hard, frame_packets, get_constellation, nearest_points
+from stssc.modem import (
+    Packet, _pad_bits, demap_hard, frame_packets, get_constellation, label_bits, nearest_points,
+    point_index,
+)
 
 from conftest import constellation_for
 
@@ -89,6 +93,34 @@ def test_stssc_decisions_unchanged_when_relay_links_turn_by_j(name, N, blocks, s
     decided = stssc_decode_batch(X, hSR, hRD, n, w, d, xc, rho, 1.0)
     turned = stssc_decode_batch(X, hSR, 1j * hRD, n, 1j * w, d, xc, rho, 1.0)
     np.testing.assert_array_equal(turned, decided)
+
+
+@pytest.mark.parametrize("name", DESIGN_NAMES)
+@pytest.mark.parametrize("fading", FADING_MODELS)
+def test_stssc_decisions_equal_afost_on_relabelled_forwarding_noise(name, fading):
+    # with block-constant gains and relays forwarding in turn, stssc's symbol t
+    # of relay r carries the forwarding sample w[r, slot[r, t]] with sign[r, t],
+    # and a conjugated symbol its conjugate turned by hRD / conj(hRD) through
+    # the matched filter; afost, given those samples as its own forwarding
+    # noise, decides every slot exactly as stssc does
+    d = build_design(name)
+    c = constellation_for(d)
+    N, M, B = d.M, d.M, 2000
+    rng = np.random.default_rng(31)
+    kappa = 1 / sqrt(N)
+    X = kappa * c.points[rng.integers(0, c.size, size=(B, N, d.K))]
+    hSR = _draw_gains(fading, rng, (B, N, M))
+    hRD = _draw_gains(fading, rng, (B, M))
+    n, w = awgn((B, M, d.K), 1.0, rng), awgn((B, M, d.T), 1.0, rng)
+    picked = d.sign * w[:, np.arange(M)[:, None], d.slot]                         # (B, M, K)
+    w_a = np.where(d.conjugated, picked.conj() * (hRD / hRD.conj())[:, :, None], picked)
+    xc = kappa * enumerate_candidates(c, N)
+    for snr_db in (-5, 0, 10, 20, 40):
+        rho = 10.0 ** (snr_db / 10.0)
+        stssc = stssc_decode_batch(X, hSR, hRD, n, w, d, xc, rho, 1.0)
+        y, F = batch.afost_observations(*batch.blocks_last([X, hSR, hRD, n, w_a]), rho, 1.0)
+        afost = _kernels.afost_argmin(y.transpose(2, 0, 1), F.transpose(2, 0, 1), xc)
+        assert np.count_nonzero(stssc != afost) == 0, snr_db
 
 
 def replayed_bit_errors(scheme, d, c, rho, fading, L, seed):
@@ -177,6 +209,30 @@ def test_candidate_table_is_source_major(mod, N):
                                   c.points[first_source_index(c, N, np.arange(len(cand)))])
 
 
+def sent_indices(c, bits, n):
+    """(S, n) point indices of (S, L) bits, the last symbol zero-padded, then padding symbols."""
+    sent = np.full((len(bits), n), c.size, dtype=np.int8)
+    syms = point_index(c, _pad_bits(bits, c.bits_per_symbol)).reshape(len(bits), -1)
+    sent[:, :syms.shape[1]] = syms
+    return sent
+
+
+@settings(max_examples=200, deadline=None)
+@given(mod=st.sampled_from(["bpsk", "qpsk"]), L=st.integers(1, 41), pad=st.integers(0, 3),
+       data=st.data())
+def test_bit_errors_from_indices_equal_label_bit_errors(mod, L, pad, data):
+    # an odd L pads QPSK's last symbol with a low bit; pad padding symbols follow
+    c = get_constellation(mod)
+    n = ceil(L / c.bits_per_symbol) + pad
+    S = data.draw(st.integers(1, 4), label="sets")
+    decided = data.draw(hnp.arrays(np.int8, (S, n), elements=st.integers(0, c.size - 1)),
+                        label="decided")
+    bits = data.draw(hnp.arrays(np.int64, (S, L), elements=st.integers(0, 1)), label="bits")
+    expected = np.count_nonzero(label_bits(c, decided).reshape(S, -1)[:, :L] != bits, axis=1)
+    got = batch.set_bit_errors(c, decided, sent_indices(c, bits, n), L)
+    np.testing.assert_array_equal(got, expected)
+
+
 @pytest.mark.parametrize("mod", ["bpsk", "qpsk"])
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("L", [37, 301])
@@ -190,7 +246,7 @@ def test_bit_errors_from_indices_match_demapped_points(mod, N, L):
     idx = rng.integers(0, len(cand), size=(S, n))
     bits = rng.integers(0, 2, size=(S, L))
     expected = [np.count_nonzero(demap_hard(c, cand[i, 0])[:L] != b) for i, b in zip(idx, bits)]
-    got = batch.set_bit_errors(c, first_source_index(c, N, idx), bits)
+    got = batch.set_bit_errors(c, first_source_index(c, N, idx), sent_indices(c, bits, n), L)
     np.testing.assert_array_equal(got, expected)
     assert got.min() > 0
 
@@ -212,6 +268,43 @@ def test_source_bits_equal_integers_from_fresh_generators(N, L):
         # source_bits leaves none, so a reused generator would go on differently
         assert b.bit_generator.state["has_uint32"] == (N * L) % 2
         assert a.bit_generator.state["has_uint32"] == 0
+
+
+@pytest.mark.parametrize("scheme", batch.SCHEMES)
+@pytest.mark.parametrize("fading", FADING_MODELS)
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+@pytest.mark.parametrize("L", [127, 128])
+def test_merged_draws_equal_draws_in_rule_order(scheme, fading, sigma2, L):
+    # each set draws its bits (N*L = 381 odd, 384 even), then every DRAW_RULES
+    # entry over all its 32 blocks: a gain as one uniform (unit-mag) or two
+    # normals (rayleigh), noise as two normals (none when sigma2 = 0), each a
+    # Generator call of its own; draw_plan merges consecutive calls of one method
+    d = build_design("c34")
+    c = get_constellation("qpsk")
+    N, n_blocks = 3, blocks_per_set(d, c, L)
+    rules = batch.DRAW_RULES[scheme](N, d.M, d.K, d.T)
+    seeds = [np.random.SeedSequence([L, s]) for s in range(3)]
+    ours = [np.random.default_rng(seed) for seed in seeds]
+    ref = [np.random.default_rng(seed) for seed in seeds]
+    plan = batch.draw_plan(rules, fading, sigma2, n_blocks)
+    assert len(plan) == (2 if fading == "unit-mag" and sigma2 else 1)
+    batch.source_bits(ours, N, L)
+    parts = batch.draw_variates(plan, ours)
+    normal, uniform = np.random.Generator.standard_normal, np.random.Generator.random
+    methods = {"gain": [normal, normal] if fading == "rayleigh" else [uniform],
+               "noise": [normal, normal] if sigma2 else []}
+    for i, rng in enumerate(ref):
+        rng.integers(0, 2, size=(N, L))
+        for entry, (shape, kind) in enumerate(rules):
+            expected = [method(rng, size=(n_blocks,) + shape) for method in methods[kind]]
+            got = [part[i] for part in parts.get(entry, [])]
+            assert len(got) == len(expected), (entry, kind)
+            for g, e in zip(got, expected):
+                assert not g.flags.owndata
+                np.testing.assert_array_equal(g, e)
+    for a, b in zip(ours, ref):
+        np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))
+        np.testing.assert_array_equal(a.random(4), b.random(4))
 
 
 def test_slot_rules():
@@ -272,10 +365,10 @@ def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
 @pytest.mark.parametrize("n_sets", [1, 2])
 def test_stssc_tiles_do_not_change_results(monkeypatch, code, packet_bits, fading, sigma2,
                                            n_sets):
-    # every scheme runs in tiles of BLOCK_BUDGET blocks.  QPSK sets longer than
-    # a 512-block tile: alamouti 3001 bits is 751 blocks, c34 5001 bits pads to
-    # 834; with two sets, tiles straddle the set boundary.  A budget of the
-    # whole call is one tile, the untiled chain.
+    # every scheme runs in tiles of at most BLOCK_BUDGET blocks, whole sets or
+    # block ranges of one longer set.  QPSK sets longer than a 512-block tile:
+    # alamouti 3001 bits is 751 blocks, c34 5001 bits pads to 834.  A budget
+    # of the whole call is one tile, the untiled chain.
     d = build_design(code)
     c = get_constellation("qpsk")
     n_blocks = n_sets * blocks_per_set(d, c, packet_bits)
@@ -344,6 +437,16 @@ def test_one_tile_call_frees_its_raw_variates_before_deciding():
     peaks = {key: traced_peak(*key, 128, 32) for key in ONE_TILE_MEMORY_BOUNDS}
     assert {key: peak for key, peak in peaks.items()
             if peak >= ONE_TILE_MEMORY_BOUNDS[key]} == {}
+
+
+def test_call_memory_does_not_grow_with_its_short_sets():
+    # 128 sets of 128-bit packets are four 1024-block tiles, and each tile's
+    # sets draw their raw variates just before it is formed, so the call peaks
+    # as a call of one tile (32 sets) does; drawing the whole call's variates
+    # up front would hold four tiles' worth of them
+    for key in (("afost", "c44", "rayleigh"), ("stssc", "c44", "unit-mag")):
+        one_tile, four_tiles = traced_peak(*key, 128, 32), traced_peak(*key, 128, 128)
+        assert four_tiles < 1.1 * one_tile, (key, one_tile, four_tiles)
 
 
 # destination 0's bit errors in each of two 5000-bit sets (seeds 81 and 82) at

@@ -158,12 +158,13 @@ def test_set_seeds_equal_numpy_seed_sequence(seed, point, start, count):
 
 
 def test_seed_hash_blocks_do_not_change_results(monkeypatch):
-    # 13 sets of 100 bits go 10 to a group; a hash covers whole groups, so
-    # SEEDS_PER_HASH = 3 hashes 10 and then 3 seeds per point, and 20 all 13
+    # 13 sets of 100 bits (25 blocks) go 10 to a group of 256 blocks; a hash
+    # covers whole groups, so SEEDS_PER_HASH = 3 hashes 10 and then 3 seeds
+    # per point, and 20 all 13
     cfg = SimConfig(scheme="afost", code="alamouti", seed=9, packets=13, packet_bits=100,
                     snr_db_list=(4.0, 8.0))
     expected = run_sweep(cfg)
-    monkeypatch.setattr(batch, "BLOCK_BUDGET", 250)
+    monkeypatch.setattr(batch, "BLOCK_BUDGET", 256 // batch.TILES_PER_CALL)
     hashed = []
     real = harness._set_seeds
     monkeypatch.setattr(harness, "_set_seeds",
@@ -431,8 +432,8 @@ def test_sigint_is_held_until_the_block_ends():
 
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
 def test_sweep_records_do_not_depend_on_grouping(monkeypatch, scheme):
-    # 127-bit QPSK sets are 32 blocks: 40 sets run as groups of 16, 16 and 8,
-    # or, when the block budget is 1, one set per call and stssc's chain one
+    # 127-bit QPSK sets are 32 blocks: 40 sets run as one group, in tiles of
+    # 32 and 8 sets, or, when the block budget is 1, one set per call and one
     # block per tile
     cfg = SimConfig(scheme=scheme, code="alamouti", seed=9, packets=40, packet_bits=127,
                     snr_db_list=(0.0, 10.0))
