@@ -7,7 +7,13 @@ keeps the first minimum, so ties go to the lowest candidate index.
 
 afost_argmin is the same search: the amplify-and-forward distance expands
 into the same linear and quadratic terms, which it sums over the relays first.
+The quadratic term is searched against a (C, N*N) table of the candidates'
+outer products; inside a candidate_table block, every search over that
+block's candidates shares one table instead of building its own.
 """
+
+import contextvars
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +37,29 @@ def _real_inner(a, b):
     return (af @ bf.T).reshape(a.shape[:-1] + (b.shape[0],))
 
 
+def candidate_outers(xc):
+    """conj(x x^H) of every candidate x, flattened: (C, N) -> (C, N*N)."""
+    outers = xc[:, :, None] * xc.conj()[:, None, :]                 # (C, N, N)
+    return np.conjugate(outers, out=outers).reshape(len(xc), -1)
+
+
+# (xc, candidate_outers(xc)) of the innermost candidate_table block, per thread
+_table = contextvars.ContextVar("candidate_table", default=(None, None))
+
+
+@contextmanager
+def candidate_table(xc):
+    """Build xc's outer-product table once for every search over xc inside the block.
+
+    xc must not change inside the block; searches over other arrays build their own.
+    """
+    token = _table.set((xc, candidate_outers(xc)))
+    try:
+        yield
+    finally:
+        _table.reset(token)
+
+
 def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
     """u: (B,N,K), gram: (B,K',N,N), xc: (C,N) kappa-scaled candidates -> (B,K) indices.
 
@@ -39,11 +68,13 @@ def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
     B, N, K = u.shape
     rho = sqrt_rho * sqrt_rho
     metrics = _real_inner(u.transpose(0, 2, 1), xc)                 # (B, K, C) linear term
-    outers = xc[:, :, None] * xc.conj()[:, None, :]                 # (C, N, N)
-    quad = _real_inner(gram.reshape(B, gram.shape[1], N * N),
-                       outers.conj().reshape(-1, N * N))            # (B, K', C)
+    held, outers = _table.get()
+    if held is not xc:
+        outers = candidate_outers(xc)
+    quad = _real_inner(gram.reshape(B, gram.shape[1], N * N), outers)   # (B, K', C)
     metrics *= -4.0 * sqrt_rho
-    metrics += 2.0 * rho * quad
+    quad *= 2.0 * rho
+    metrics += quad
     return np.argmin(metrics, axis=2).astype(np.int64)
 
 

@@ -3,9 +3,10 @@
 One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
 simulates several packet sets, each drawing its random variates from its
-own generator, in tiles of at most BLOCK_BUDGET blocks (whole sets, or a block
-range of a longer set) whose variates are drawn just before they are formed, so
-the draws, symbols, gains and noise exist for one tile (or longer set) only.
+own generator, in tiles of as many blocks as fit TILE_BYTES of working set
+(tile_blocks; whole sets, or a block range of a longer set) whose variates are
+drawn just before they are formed, so the draws, symbols, gains and noise exist
+for one tile (or longer set) only.
 stssc, afost and dstc compute along the blocks of a blocks_last copy.  stssc and
 afost share the relay gain rule (schemes.af_gains) and the candidate
 search (stssc._kernels).  The tests check the baselines against dense
@@ -30,6 +31,7 @@ nearest_index, and the bits that differ are those of the decided and sent
 indices' XOR (their Gray labels), so no decided point is formed or demapped.
 """
 
+from contextlib import nullcontext
 from math import ceil, prod, sqrt
 
 import numpy as np
@@ -47,11 +49,11 @@ from .modem import (
 )
 from .schemes import af_gains
 
-# coherence blocks per tile: simulate_packet_set draws, forms and decides at
-# most this many blocks at a time (whole sets, or a block range of a longer
-# set), and the harness groups packet sets by TILES_PER_CALL tiles' worth of
-# blocks (at least one set), so that a call's fixed costs are shared by tiles
-BLOCK_BUDGET = 1024
+# working-set bytes per tile: simulate_packet_set draws, forms and decides as
+# many blocks at a time as fit (tile_blocks; whole sets, or a block range of a
+# longer set), and the harness groups TILES_PER_CALL tiles' sets per call
+# (sets_per_call), so that a call's fixed costs are shared by tiles
+TILE_BYTES = 2 << 20
 TILES_PER_CALL = 4
 
 SLOT_RULES = {
@@ -61,6 +63,7 @@ SLOT_RULES = {
     "direct": lambda N, M, K, T: N * K,
 }
 SCHEMES = tuple(SLOT_RULES)
+SEARCHES = ("stssc", "afost")       # the schemes that decide by candidate search
 
 # the draws after the bits, in draw order: (per-block shape, kind); see draw_plan
 DRAW_RULES = {
@@ -78,6 +81,47 @@ def blocks_per_set(design: OrthogonalDesign, constellation: Constellation,
                    packet_bits: int) -> int:
     """Coherence blocks a packet set of packet_bits-bit packets occupies."""
     return ceil(packet_bits / (constellation.bits_per_symbol * design.K))
+
+
+def block_bytes(scheme: str, design: OrthogonalDesign, constellation: Constellation,
+                N: int) -> int:
+    """A block's share of a tile's working set, in bytes.
+
+    Every formed complex value, the symbols X and each DRAW_RULES draw, counts
+    48 B: itself, its blocks_last copy and the decide step's intermediates.  A
+    candidate search adds the block's K |Q|^N float64 candidate metrics.
+    """
+    M, K, T = design.M, design.K, design.T
+    values = N * K + sum(prod(shape) for shape, _ in DRAW_RULES[scheme](N, M, K, T))
+    metrics = K * constellation.size**N if scheme in SEARCHES else 0
+    return 48 * values + 8 * metrics
+
+
+def tile_blocks(scheme: str, design: OrthogonalDesign, constellation: Constellation,
+                N: int) -> int:
+    """Blocks per tile: as many as fit TILE_BYTES (block_bytes each), at least one.
+
+    A candidate search's budget grows to the bytes of its (|Q|^N, N, N) complex
+    outer-product table (_kernels.candidate_outers): BLAS packs that table
+    again on every search, so a tile must hold enough blocks to amortise it.
+    """
+    budget = TILE_BYTES
+    if scheme in SEARCHES:
+        budget = max(budget, 16 * N * N * constellation.size**N)
+    return max(1, budget // block_bytes(scheme, design, constellation, N))
+
+
+def sets_per_call(scheme: str, design: OrthogonalDesign, constellation: Constellation, N: int,
+                  packet_bits: int) -> int:
+    """Packet sets per harness call: TILES_PER_CALL tiles of whole sets, at least one set.
+
+    Sets longer than a tile go as many to a call as TILES_PER_CALL tiles' blocks hold.
+    """
+    tile = tile_blocks(scheme, design, constellation, N)
+    n_blocks = blocks_per_set(design, constellation, packet_bits)
+    if tile >= n_blocks:
+        return TILES_PER_CALL * (tile // n_blocks)
+    return max(1, TILES_PER_CALL * tile // n_blocks)
 
 
 def set_bit_errors(constellation: Constellation, decided, sent, packet_bits: int) -> np.ndarray:
@@ -235,8 +279,11 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     DRAW_RULES over all its blocks (draw_plan).  Only the symbols' point indices
     span the call: a tile's sets draw just before it is formed (a longer set
     before its first tile) and their raw variates go before it (its last tile)
-    decides.  Blocks are independent, so each set's errors do not depend on
-    which sets share the call or on how it is cut into tiles.
+    decides.  A tile is tile_blocks blocks: as many whole sets as fit (at least
+    one), or that many blocks of a longer set.  stssc and afost search one
+    candidate table, whose outer products are built once per call
+    (_kernels.candidate_table).  Blocks are independent, so each set's errors
+    do not depend on which sets share the call or on how it is cut into tiles.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -260,7 +307,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     rules = DRAW_RULES[scheme](N, M, K, T)
     plan = draw_plan(rules, fading, sigma2, n_blocks)
 
-    if scheme in ("stssc", "afost"):
+    if scheme in SEARCHES:
         xc = kappa * enumerate_candidates(constellation, N)
 
     def decide(arrays):
@@ -299,19 +346,21 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         return np.zeros((b,) + shape, dtype=complex)
 
     decided0 = np.empty((S, n_blocks, K), dtype=np.int8)
-    per_tile = max(1, BLOCK_BUDGET // n_blocks)                     # whole sets, or one longer set
-    for s0 in range(0, S, per_tile):
-        sets = slice(s0, s0 + per_tile)
-        parts = draw_variates(plan, rngs[sets])
-        for b0 in range(0, n_blocks, BLOCK_BUDGET):
-            blocks = slice(b0, b0 + BLOCK_BUDGET)
-            out = decided0[sets, blocks]
-            arrays = [points[sym[sets, blocks]].reshape(-1, N, K)]                 # X (b, N, K)
-            arrays += [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
-                              len(arrays[0]))
-                       for entry, (shape, kind) in enumerate(rules)]
-            if blocks.stop >= n_blocks:
-                parts.clear()           # the sets' raw variates go before their last tile decides
-            out[...] = decide(arrays).reshape(out.shape)
+    tile = tile_blocks(scheme, design, constellation, N)
+    per_tile = max(1, tile // n_blocks)                             # whole sets, or one longer set
+    with _kernels.candidate_table(xc) if scheme in SEARCHES else nullcontext():
+        for s0 in range(0, S, per_tile):
+            sets = slice(s0, s0 + per_tile)
+            parts = draw_variates(plan, rngs[sets])
+            for b0 in range(0, n_blocks, tile):
+                blocks = slice(b0, b0 + tile)
+                out = decided0[sets, blocks]
+                arrays = [points[sym[sets, blocks]].reshape(-1, N, K)]             # X (b, N, K)
+                arrays += [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
+                                  len(arrays[0]))
+                           for entry, (shape, kind) in enumerate(rules)]
+                if blocks.stop >= n_blocks:
+                    parts.clear()       # the sets' raw variates go before their last tile decides
+                out[...] = decide(arrays).reshape(out.shape)
 
     return set_bit_errors(constellation, decided0.reshape(S, -1), sent0, L)

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
 import numbers
 import os
@@ -245,11 +247,11 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    sets: range) -> tuple[int, int]:
     """Run a range of packet sets; returns their (bit_errors, packet_errors) at destination 0.
 
-    Consecutive sets are simulated in groups of at most batch.TILES_PER_CALL
-    tiles of batch.BLOCK_BUDGET blocks (at least one set), so that several tiles
-    share simulate_packet_set's fixed per-call costs.  Each set keeps its own
-    PCG64 generator, seeded as default_rng(SeedSequence([seed, point_index,
-    set])) would be, so grouping does not change the totals.  The seeds of up
+    Consecutive sets are simulated in groups of batch.sets_per_call sets,
+    several tiles' worth, so that the tiles share simulate_packet_set's fixed
+    per-call costs.  Each set keeps its own PCG64 generator, seeded as
+    default_rng(SeedSequence([seed, point_index, set])) would be, so grouping
+    does not change the totals.  The seeds of up
     to SEEDS_PER_HASH sets are hashed at once (_set_seeds), and each group's
     generators are built from them; only those sets' indices are ever held as
     an array.  Serial runs and pool workers both come through here, so every
@@ -260,8 +262,7 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
-    group = max(1, batch.TILES_PER_CALL * batch.BLOCK_BUDGET
-               // blocks_per_set(design, constellation, cfg.packet_bits))
+    group = batch.sets_per_call(cfg.scheme, design, constellation, cfg.sources, cfg.packet_bits)
     per_hash = group * max(1, SEEDS_PER_HASH // group)
     bit_errors = packet_errors = 0
     for lo in range(sets.start, sets.stop, per_hash):
@@ -293,16 +294,25 @@ def _raise_malloc_thresholds() -> None:
     process, so a library caller keeps its freed heap after a run too.
     Does nothing where the C library is not glibc.
     """
-    import ctypes
+    mallopt = _mallopt(ctypes.CDLL)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 28)
 
+
+@functools.lru_cache(maxsize=1)
+def _mallopt(loader):
+    """The C library's mallopt, loaded through loader (ctypes.CDLL) once per process, or None.
+
+    Loading the library builds a ctypes class each time, so the handle is kept.
+    """
     try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt = loader("libc.so.6").mallopt
     except (OSError, AttributeError):
-        return
+        return None
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 1 << 28)
+    return mallopt
 
 
 @contextlib.contextmanager

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from stssc.batch import BLOCK_BUDGET, relay_encode, stssc_decode_batch
+from stssc.batch import relay_encode, stssc_decode_batch, tile_blocks
 from stssc.channel import _draw_gains, awgn, draw_channel
 from stssc.decoder import brute_force_indices, enumerate_candidates, matched_filter
 from stssc.designs import DESIGN_NAMES, build_design, verify_orthogonality
@@ -65,7 +65,7 @@ def oracle_observations(design, X, hSR, hRD, g, n, w, rho):
 
 def test_criterion_02_decoder_oracle_equivalence():
     # the simulator's stssc engine decides each case's blocks, drawn as
-    # arrays, in tiles of BLOCK_BUDGET blocks; the brute-force oracle decides
+    # arrays, in tiles of tile_blocks blocks; the brute-force oracle decides
     # the same blocks from the observations the dense A/B model gives
     t0 = time.perf_counter()
     blocks_per_case = 10_000
@@ -77,6 +77,7 @@ def test_criterion_02_decoder_oracle_equivalence():
         c = get_constellation(mod)
         kappa = 1 / np.sqrt(n)
         cand = enumerate_candidates(c, n)
+        tile_size = tile_blocks("stssc", design, c, n)
         for fading in ("unit-mag", "rayleigh"):
             for snr_db in (0.0, 10.0, 20.0):
                 rho = 10.0 ** (snr_db / 10.0)
@@ -85,8 +86,8 @@ def test_criterion_02_decoder_oracle_equivalence():
                 X = kappa * c.points[rng.integers(0, c.size, size=(blocks_per_case, n, K))]
                 bn = awgn((blocks_per_case, M, K), 1.0, rng)
                 fw = awgn((blocks_per_case, M, T), 1.0, rng)
-                for lo in range(0, blocks_per_case, BLOCK_BUDGET):
-                    tile = slice(lo, lo + BLOCK_BUDGET)
+                for lo in range(0, blocks_per_case, tile_size):
+                    tile = slice(lo, lo + tile_size)
                     fast = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], bn[tile], fw[tile],
                                               design, kappa * cand, rho, 1.0)
                     g = af_gains(hSR[tile], rho, 1.0, source_axis=1)

@@ -363,26 +363,32 @@ def test_grouped_sets_equal_sum_of_single_sets(scheme, fading, sigma2):
 @pytest.mark.parametrize("fading", ["unit-mag", "rayleigh"])
 @pytest.mark.parametrize("sigma2", [1.0, 0.0])
 @pytest.mark.parametrize("n_sets", [1, 2])
-def test_stssc_tiles_do_not_change_results(monkeypatch, code, packet_bits, fading, sigma2,
-                                           n_sets):
-    # every scheme runs in tiles of at most BLOCK_BUDGET blocks, whole sets or
-    # block ranges of one longer set.  QPSK sets longer than a 512-block tile:
-    # alamouti 3001 bits is 751 blocks, c34 5001 bits pads to 834.  A budget
-    # of the whole call is one tile, the untiled chain.
+def test_stssc_tiles_do_not_change_results(tiles, code, packet_bits, fading, sigma2, n_sets):
+    # every scheme runs in tiles of tile_blocks blocks, whole sets or block
+    # ranges of one longer set.  QPSK sets longer than a 512-block tile:
+    # alamouti 3001 bits is 751 blocks, c34 5001 bits pads to 834.  A tile of
+    # the whole call is the untiled chain; c34's searches take tiles of at
+    # least 2 blocks, their candidate table's floor
     d = build_design(code)
     c = get_constellation("qpsk")
-    n_blocks = n_sets * blocks_per_set(d, c, packet_bits)
+    n_blocks = blocks_per_set(d, c, packet_bits)
 
-    def run(scheme, budget):
-        monkeypatch.setattr(batch, "BLOCK_BUDGET", budget)
+    def run(scheme, blocks):
+        tile = tiles.force(blocks, scheme, d, c, d.M)
+        assert tile == blocks or (scheme in batch.SEARCHES and tile == 2), (scheme, blocks, tile)
+        tiles.decided = 0
         rngs = [np.random.default_rng(s) for s in range(60, 60 + n_sets)]
-        return simulate_packet_set(scheme, d, c, d.M, 3.0, sigma2, fading, "perslot",
-                                   packet_bits, rngs)
+        errors = simulate_packet_set(scheme, d, c, d.M, 3.0, sigma2, fading, "perslot",
+                                     packet_bits, rngs)
+        expected = (ceil(n_sets / (tile // n_blocks)) if tile >= n_blocks
+                    else n_sets * ceil(n_blocks / tile))
+        assert tiles.decided == expected, (scheme, blocks)
+        return errors
 
     for scheme in batch.SCHEMES:
-        whole = run(scheme, n_blocks)
-        for budget in (1, 7, 512):
-            np.testing.assert_array_equal(run(scheme, budget), whole, err_msg=f"{scheme} {budget}")
+        whole = run(scheme, n_sets * n_blocks)
+        for blocks in (1, 7, 512):
+            np.testing.assert_array_equal(run(scheme, blocks), whole, err_msg=f"{scheme} {blocks}")
         assert (whole.sum() > 0) == (sigma2 > 0), scheme
 
 
@@ -398,15 +404,16 @@ MEMORY_BOUNDS = {
 }
 
 
-def traced_peak(scheme, code, fading, packet_bits, sets):
-    """Traced numpy peak (bytes) of one call on `sets` packet sets at rho = 10, N = M."""
+def traced_peak(scheme, code, fading, packet_bits, sets, N=None):
+    """Traced numpy peak (bytes) of one call on `sets` packet sets at rho = 10, N = M by default."""
     d = build_design(code)
     c = constellation_for(d)
     rngs = [np.random.default_rng(3 + i) for i in range(sets)]
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        simulate_packet_set(scheme, d, c, d.M, 10.0, 1.0, fading, "perslot", packet_bits, rngs)
+        simulate_packet_set(scheme, d, c, N or d.M, 10.0, 1.0, fading, "perslot", packet_bits,
+                            rngs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -419,9 +426,45 @@ def test_long_stssc_set_memory_is_bounded():
     assert {key: peak for key, peak in peaks.items() if peak >= MEMORY_BOUNDS[key]} == {}
 
 
-# bounds on the traced numpy peak (bytes) of one call of 32 128-bit sets, a
-# single 1024-block tile, whose raw variates are freed once its draws are
-# formed; holding them while the tile decided peaked at 4.20 (afost/c44),
+# bounds on the traced numpy peak (bytes) of one call on one alamouti QPSK
+# unit-mag set at rho = 10 with many sources: N = 6 searches 4096 candidates
+# over a 4096-bit set (1024 blocks), N = 7 16 384 over a 1024-bit set (256
+# blocks).  Deciding each set as one tile peaked at 139.5 and 149.6 MB
+# (stssc; afost alike); tiles of tile_blocks blocks (35 and 48) sharing one
+# outer-product table peak at 6.6 and 33.8 MB
+LARGE_N_MEMORY_BOUNDS = {6: 8e6, 7: 38e6}
+LARGE_N_BITS = {6: 4096, 7: 1024}
+
+
+@pytest.mark.parametrize("scheme", batch.SEARCHES)
+@pytest.mark.parametrize("N", [6, 7])
+def test_many_source_search_memory_is_bounded(monkeypatch, tiles, scheme, N):
+    d, c = build_design("alamouti"), get_constellation("qpsk")
+    bits = LARGE_N_BITS[N]
+    n_blocks = blocks_per_set(d, c, bits)
+    built = []
+    real = _kernels.candidate_outers
+    monkeypatch.setattr(_kernels, "candidate_outers", lambda xc: built.append(xc) or real(xc))
+    peak = traced_peak(scheme, "alamouti", "unit-mag", bits, 1, N)
+    assert peak < LARGE_N_MEMORY_BOUNDS[N], peak
+    tile = batch.tile_blocks(scheme, d, c, N)
+    assert tiles.decided == ceil(n_blocks / tile) > 1
+    assert len(built) == 1                       # one outer-product table for every tile
+
+    def errors():
+        return simulate_packet_set(scheme, d, c, N, 10.0, 1.0, "unit-mag", "perslot", bits,
+                                   [np.random.default_rng(3)])
+
+    tiled = errors()
+    assert tiles.force(n_blocks, scheme, d, c, N) == n_blocks
+    np.testing.assert_array_equal(tiled, errors())           # the set as one tile
+    assert tiled.sum() > 0
+
+
+# bounds on the traced numpy peak (bytes) of one call of 32 128-bit sets,
+# 1024 blocks, set when they made a single 1024-block tile whose raw variates
+# are freed once its draws are formed (tiles of tile_blocks blocks cut c44's
+# calls in two); holding them while the tile decided peaked at 4.20 (afost/c44),
 # 1.48 (afost/alamouti), 5.74 (stssc/c44) and 3.31 MB (dstc/c44), and freeing
 # them gave 3.35, 1.25, 5.05 and 2.85 MB (dstc 2.52 MB once its destination
 # statistic was computed directly).  Deciding afost and dstc blocks-last, with
@@ -439,19 +482,24 @@ def test_one_tile_call_frees_its_raw_variates_before_deciding():
             if peak >= ONE_TILE_MEMORY_BOUNDS[key]} == {}
 
 
-def test_call_memory_does_not_grow_with_its_short_sets():
-    # 128 sets of 128-bit packets are four 1024-block tiles, and each tile's
-    # sets draw their raw variates just before it is formed, so the call peaks
-    # as a call of one tile (32 sets) does; drawing the whole call's variates
-    # up front would hold four tiles' worth of them
+def test_call_memory_does_not_grow_with_its_short_sets(tiles):
+    # 128-bit c44 sets are 32 blocks, so a tile holds tile_blocks // 32 of
+    # them.  Each tile's sets draw their raw variates just before it is formed,
+    # so a call of four tiles peaks as a call of one tile does; drawing the
+    # whole call's variates up front would hold four tiles' worth of them
+    d = build_design("c44")
     for key in (("afost", "c44", "rayleigh"), ("stssc", "c44", "unit-mag")):
-        one_tile, four_tiles = traced_peak(*key, 128, 32), traced_peak(*key, 128, 128)
+        per_tile = batch.tile_blocks(key[0], d, constellation_for(d), d.M) // 32
+        tiles.decided = 0
+        one_tile = traced_peak(*key, 128, per_tile)
+        four_tiles = traced_peak(*key, 128, 4 * per_tile)
+        assert tiles.decided == 5, key
         assert four_tiles < 1.1 * one_tile, (key, one_tile, four_tiles)
 
 
 # destination 0's bit errors in each of two 5000-bit sets (seeds 81 and 82) at
 # 5 dB, N = M, as the simulator gave them before its tile loop served every
-# scheme; each call spans two or more 1024-block tiles
+# scheme, in 1024-block tiles
 PINNED_RESULTS = {
     ("stssc", "alamouti", "unit-mag"): (1141, 1055),
     ("stssc", "alamouti", "rayleigh"): (1262, 1311),
@@ -491,8 +539,8 @@ def test_results_are_pinned(scheme, code, fading):
 
 
 # destination 0's bit errors in each of 32 128-bit sets (seeds 200 to 231) at
-# 5 dB, N = M, decided in one call whose single 1024-block tile spans every
-# set, as the simulator gave them before afost and dstc decided blocks-last
+# 5 dB, N = M, decided in one call (then one 1024-block tile spanning every
+# set), as the simulator gave them before afost and dstc decided blocks-last
 PINNED_SHORT_SETS = {
     ("afost", "alamouti", "unit-mag"): (41, 27, 27, 33, 25, 21, 19, 28, 29, 34, 35, 27, 37, 26, 23,
         32, 20, 28, 23, 29, 20, 33, 21, 25, 20, 25, 23, 35, 32, 21, 26, 31),

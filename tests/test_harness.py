@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stssc import batch, cli, harness
+from stssc import cli, harness
 from stssc.batch import SCHEMES
 from stssc.channel import FADING_MODELS
-from stssc.designs import DESIGN_NAMES
+from stssc.designs import DESIGN_NAMES, build_design
 from stssc.errors import ConfigurationError
 from stssc.harness import (
     CSV_HEADER,
@@ -31,7 +31,7 @@ from stssc.harness import (
     run_sweep,
     validate,
 )
-from stssc.modem import CONSTELLATION_NAMES, KAPPA_MODES
+from stssc.modem import CONSTELLATION_NAMES, KAPPA_MODES, get_constellation
 
 SMALL = dict(packets=30, packet_bits=60, snr_db_list=(0.0, 10.0))
 
@@ -157,23 +157,26 @@ def test_set_seeds_equal_numpy_seed_sequence(seed, point, start, count):
                                       ref.bit_generator.random_raw(3))
 
 
-def test_seed_hash_blocks_do_not_change_results(monkeypatch):
-    # 13 sets of 100 bits (25 blocks) go 10 to a group of 256 blocks; a hash
-    # covers whole groups, so SEEDS_PER_HASH = 3 hashes 10 and then 3 seeds
-    # per point, and 20 all 13
+def test_seed_hash_blocks_do_not_change_results(monkeypatch, tiles):
+    # 13 sets of 100 bits (25 blocks) go 2 to a 50-block tile and 8 to a group
+    # of four tiles; a hash covers whole groups, so SEEDS_PER_HASH = 3 hashes 8
+    # and then 5 seeds per point, and 20 all 13
     cfg = SimConfig(scheme="afost", code="alamouti", seed=9, packets=13, packet_bits=100,
                     snr_db_list=(4.0, 8.0))
     expected = run_sweep(cfg)
-    monkeypatch.setattr(batch, "BLOCK_BUDGET", 256 // batch.TILES_PER_CALL)
+    d = build_design("alamouti")
+    assert tiles.force(50, "afost", d, get_constellation("qpsk"), 2) == 50
     hashed = []
     real = harness._set_seeds
     monkeypatch.setattr(harness, "_set_seeds",
                         lambda *args: hashed.append(len(args[2])) or real(*args))
-    for per_hash, sizes in ((3, [10, 3]), (20, [13])):
+    for per_hash, sizes in ((3, [8, 5]), (20, [13])):
         monkeypatch.setattr(harness, "SEEDS_PER_HASH", per_hash)
         hashed.clear()
+        tiles.decided = 0
         assert run_sweep(cfg) == expected
         assert hashed == sizes * 2
+        assert tiles.decided == 7 * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -431,15 +434,25 @@ def test_sigint_is_held_until_the_block_ends():
 
 
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
-def test_sweep_records_do_not_depend_on_grouping(monkeypatch, scheme):
-    # 127-bit QPSK sets are 32 blocks: 40 sets run as one group, in tiles of
-    # 32 and 8 sets, or, when the block budget is 1, one set per call and one
-    # block per tile
+def test_sweep_records_do_not_depend_on_grouping(monkeypatch, tiles, scheme):
+    # 127-bit QPSK sets are 32 blocks: 40 sets run as one call of one tile.
+    # A set spans two 20-block tiles, and a call holds as many sets as four
+    # tiles' 80 blocks do, two; with one-block tiles, one set of 32 tiles
     cfg = SimConfig(scheme=scheme, code="alamouti", seed=9, packets=40, packet_bits=127,
                     snr_db_list=(0.0, 10.0))
+    calls = []
+    real = harness.simulate_packet_set
+    monkeypatch.setattr(harness, "simulate_packet_set",
+                        lambda *args: calls.append(len(args[-1])) or real(*args))
     grouped = run_sweep(cfg)
-    monkeypatch.setattr(batch, "BLOCK_BUDGET", 1)
-    assert run_sweep(cfg) == grouped
+    assert calls == [40] * 2 and tiles.decided == 2
+    for blocks, group, per_set in ((20, 2, 2), (1, 1, 32)):
+        calls.clear()
+        tiles.decided = 0
+        assert tiles.force(blocks, scheme, build_design("alamouti"), get_constellation("qpsk"),
+                           2) == blocks
+        assert run_sweep(cfg) == grouped
+        assert calls == [group] * (80 // group) and tiles.decided == 80 * per_set
 
 
 def test_noiseless_point_is_error_free():
