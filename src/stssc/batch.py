@@ -2,11 +2,12 @@
 
 One packet set is N packets (one per source) framed into coherence
 blocks; every block gets an independent channel realization.  A call
-simulates several packet sets, each drawing its random variates from its
-own generator, in tiles of as many blocks as fit TILE_BYTES of working set
-(tile_blocks; whole sets, or a block range of a longer set) whose variates are
-drawn just before they are formed, so the draws, symbols, gains and noise exist
-for one tile (or longer set) only.
+simulates any number of packet sets, each drawing its source bits and random
+variates from its own generator, in tiles of as many blocks as fit TILE_BYTES
+of working set (tile_blocks; whole sets, or a block range of a longer set).
+A tile's sets draw just before it is formed and are counted once it decides,
+so the bits, draws, symbols, gains, noise and decisions exist for one tile
+(or longer set) only, and a call's memory does not grow with its sets.
 stssc, afost and dstc compute along the blocks of a blocks_last copy.  stssc and
 afost share the relay gain rule (schemes.af_gains) and the candidate
 search (stssc._kernels).  The tests check the baselines against dense
@@ -51,10 +52,8 @@ from .schemes import af_gains
 
 # working-set bytes per tile: simulate_packet_set draws, forms and decides as
 # many blocks at a time as fit (tile_blocks; whole sets, or a block range of a
-# longer set), and the harness groups TILES_PER_CALL tiles' sets per call
-# (sets_per_call), so that a call's fixed costs are shared by tiles
+# longer set)
 TILE_BYTES = 2 << 20
-TILES_PER_CALL = 4
 
 SLOT_RULES = {
     "stssc": lambda N, M, K, T: K + M * T,
@@ -109,19 +108,6 @@ def tile_blocks(scheme: str, design: OrthogonalDesign, constellation: Constellat
     if scheme in SEARCHES:
         budget = max(budget, 16 * N * N * constellation.size**N)
     return max(1, budget // block_bytes(scheme, design, constellation, N))
-
-
-def sets_per_call(scheme: str, design: OrthogonalDesign, constellation: Constellation, N: int,
-                  packet_bits: int) -> int:
-    """Packet sets per harness call: TILES_PER_CALL tiles of whole sets, at least one set.
-
-    Sets longer than a tile go as many to a call as TILES_PER_CALL tiles' blocks hold.
-    """
-    tile = tile_blocks(scheme, design, constellation, N)
-    n_blocks = blocks_per_set(design, constellation, packet_bits)
-    if tile >= n_blocks:
-        return TILES_PER_CALL * (tile // n_blocks)
-    return max(1, TILES_PER_CALL * tile // n_blocks)
 
 
 def set_bit_errors(constellation: Constellation, decided, sent, packet_bits: int) -> np.ndarray:
@@ -216,7 +202,7 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
     one.  The bits are shifted out of every set's words at once.
     """
     n = N * L
-    words = np.stack([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
+    words = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
     bits = np.empty((len(rngs), n), dtype=np.int64)
     out = bits.view(np.uint64)
     np.right_shift(words, 31, out=out[:, 0::2])
@@ -276,34 +262,26 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     """Simulate one packet set per generator in rngs; returns their (S,) destination-0 bit errors.
 
     Set i draws from rngs[i] alone: its bits (source_bits), then the scheme's
-    DRAW_RULES over all its blocks (draw_plan).  Only the symbols' point indices
-    span the call: a tile's sets draw just before it is formed (a longer set
-    before its first tile) and their raw variates go before it (its last tile)
-    decides.  A tile is tile_blocks blocks: as many whole sets as fit (at least
-    one), or that many blocks of a longer set.  stssc and afost search one
-    candidate table, whose outer products are built once per call
-    (_kernels.candidate_table).  Blocks are independent, so each set's errors
-    do not depend on which sets share the call or on how it is cut into tiles.
+    DRAW_RULES over all its blocks (draw_plan).  A tile is tile_blocks blocks:
+    as many whole sets as fit (at least one), or that many blocks of a longer
+    set.  A tile's sets draw just before it is formed (a longer set before its
+    first tile), their raw variates go before it (its last tile) decides, and
+    their errors are counted once it has; only the generators and the (S,)
+    errors span the call.  stssc and afost search one candidate table, whose
+    outer products are built once per call (_kernels.candidate_table).  Blocks
+    are independent, so each set's errors do not depend on which sets share
+    the call or on how it is cut into tiles.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     M, K, T = design.M, design.K, design.T
     L = packet_bits
-    S = len(rngs)
     bps = constellation.bits_per_symbol
     kappa = kappa_for(N, kappa_mode, T)
     n_blocks = blocks_per_set(design, constellation, L)
     n_syms = ceil(L / bps)
 
-    idx = point_index(constellation, _pad_bits(source_bits(rngs, N, L), bps))
-    # a padding symbol's index is constellation.size, the 0 appended to the points
-    sym = np.full((S, N, n_blocks * K), constellation.size, dtype=np.int8)
-    sym[..., :n_syms] = idx.reshape(S, N, n_syms)
-    del idx
-    sent0 = sym[:, 0]
-    sym = sym.reshape(S, N, n_blocks, K).transpose(0, 2, 1, 3)            # (S, n_blocks, N, K)
     points = kappa * np.append(constellation.points, 0)
-
     rules = DRAW_RULES[scheme](N, M, K, T)
     plan = draw_plan(rules, fading, sigma2, n_blocks)
 
@@ -345,22 +323,30 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             return _complex_noise(sigma2, *parts).reshape((b,) + shape)
         return np.zeros((b,) + shape, dtype=complex)
 
-    decided0 = np.empty((S, n_blocks, K), dtype=np.int8)
+    errors = np.empty(len(rngs), dtype=np.intp)
     tile = tile_blocks(scheme, design, constellation, N)
     per_tile = max(1, tile // n_blocks)                             # whole sets, or one longer set
     with _kernels.candidate_table(xc) if scheme in SEARCHES else nullcontext():
-        for s0 in range(0, S, per_tile):
-            sets = slice(s0, s0 + per_tile)
-            parts = draw_variates(plan, rngs[sets])
+        for s0 in range(0, len(rngs), per_tile):
+            sets = rngs[s0:s0 + per_tile]
+            k = len(sets)
+            idx = point_index(constellation, _pad_bits(source_bits(sets, N, L), bps))
+            # a padding symbol's index is constellation.size, the 0 appended to the points
+            sym = np.full((k, N, n_blocks * K), constellation.size, dtype=np.int8)
+            sym[..., :n_syms] = idx.reshape(k, N, n_syms)
+            del idx
+            sent0 = sym[:, 0]
+            sym = sym.reshape(k, N, n_blocks, K).transpose(0, 2, 1, 3)    # (k, n_blocks, N, K)
+            parts = draw_variates(plan, sets)
+            decided0 = np.empty((k, n_blocks, K), dtype=np.int8)
             for b0 in range(0, n_blocks, tile):
                 blocks = slice(b0, b0 + tile)
-                out = decided0[sets, blocks]
-                arrays = [points[sym[sets, blocks]].reshape(-1, N, K)]             # X (b, N, K)
+                arrays = [points[sym[:, blocks]].reshape(-1, N, K)]                # X (b, N, K)
                 arrays += [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
                                   len(arrays[0]))
                            for entry, (shape, kind) in enumerate(rules)]
                 if blocks.stop >= n_blocks:
                     parts.clear()       # the sets' raw variates go before their last tile decides
-                out[...] = decide(arrays).reshape(out.shape)
-
-    return set_bit_errors(constellation, decided0.reshape(S, -1), sent0, L)
+                decided0[:, blocks] = decide(arrays).reshape(k, -1, K)
+            errors[s0:s0 + k] = set_bit_errors(constellation, decided0.reshape(k, -1), sent0, L)
+    return errors

@@ -15,7 +15,6 @@ from dataclasses import dataclass, asdict, fields, replace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import batch
 from .batch import SCHEMES, SLOT_RULES, blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
 from .decoder import MAX_CANDIDATES
@@ -27,8 +26,9 @@ SYMBOL_RATE = 20e6          # 20 MHz bandwidth, one symbol slot per Hz-second
 MAX_SNR_DB = 3000.0         # |SNR| bound: 10^(snr/10) over- or underflows a float near +-3100 dB
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc's mallopt parameter numbers (malloc.h)
 MAX_PACKETS = 1 << 32       # set indices enter the seed hash as one 32-bit word each
-# packet sets whose seeds are hashed at once, rounded to whole groups: a few
-# hundred kB of hash arrays, however many sets a chunk holds
+# packet sets whose seeds are hashed at once and which one simulate_packet_set
+# call takes: a few hundred kB of hash arrays and about 3 MB of generators,
+# however many sets a chunk holds
 SEEDS_PER_HASH = 4096
 
 @dataclass(frozen=True)
@@ -247,35 +247,29 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
                    sets: range) -> tuple[int, int]:
     """Run a range of packet sets; returns their (bit_errors, packet_errors) at destination 0.
 
-    Consecutive sets are simulated in groups of batch.sets_per_call sets,
-    several tiles' worth, so that the tiles share simulate_packet_set's fixed
-    per-call costs.  Each set keeps its own PCG64 generator, seeded as
-    default_rng(SeedSequence([seed, point_index, set])) would be, so grouping
-    does not change the totals.  The seeds of up
-    to SEEDS_PER_HASH sets are hashed at once (_set_seeds), and each group's
-    generators are built from them; only those sets' indices are ever held as
-    an array.  Serial runs and pool workers both come through here, so every
-    process that simulates first takes the heap policy of _raise_malloc_thresholds.
+    The seeds of up to SEEDS_PER_HASH consecutive sets are hashed at once
+    (_set_seeds), and those sets go to one simulate_packet_set call, so that
+    they share its fixed per-call costs; only their indices are ever held as
+    an array.  Each set keeps its own PCG64 generator, seeded as
+    default_rng(SeedSequence([seed, point_index, set])) would be, so how the
+    sets are split between calls does not change the totals.  Serial runs and
+    pool workers both come through here, so every process that simulates
+    first takes the heap policy of _raise_malloc_thresholds.
     """
     _raise_malloc_thresholds()
     design = build_design(cfg.code)
     constellation = get_constellation(cfg.mod)
     rho = 10.0 ** (snr_db / 10.0)
     sigma2 = 0.0 if cfg.noiseless else 1.0
-    group = batch.sets_per_call(cfg.scheme, design, constellation, cfg.sources, cfg.packet_bits)
-    per_hash = group * max(1, SEEDS_PER_HASH // group)
     bit_errors = packet_errors = 0
-    for lo in range(sets.start, sets.stop, per_hash):
-        indices = np.arange(lo, min(lo + per_hash, sets.stop), dtype=np.uint32)
-        seeds = _set_seeds(cfg.seed, point_index, indices)
-        for start in range(0, len(seeds), group):
-            rngs = [np.random.Generator(np.random.PCG64(_SeedRow(row)))
-                    for row in seeds[start:start + group]]
-            errors = simulate_packet_set(cfg.scheme, design, constellation, cfg.sources, rho,
-                                         sigma2, cfg.fading, cfg.normalization, cfg.packet_bits,
-                                         rngs)
-            bit_errors += int(errors.sum())
-            packet_errors += int(np.count_nonzero(errors))
+    for lo in range(sets.start, sets.stop, SEEDS_PER_HASH):
+        indices = np.arange(lo, min(lo + SEEDS_PER_HASH, sets.stop), dtype=np.uint32)
+        rngs = [np.random.Generator(np.random.PCG64(_SeedRow(row)))
+                for row in _set_seeds(cfg.seed, point_index, indices)]
+        errors = simulate_packet_set(cfg.scheme, design, constellation, cfg.sources, rho, sigma2,
+                                     cfg.fading, cfg.normalization, cfg.packet_bits, rngs)
+        bit_errors += int(errors.sum())
+        packet_errors += int(np.count_nonzero(errors))
     return bit_errors, packet_errors
 
 

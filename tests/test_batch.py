@@ -484,17 +484,19 @@ def test_one_tile_call_frees_its_raw_variates_before_deciding():
 
 def test_call_memory_does_not_grow_with_its_short_sets(tiles):
     # 128-bit c44 sets are 32 blocks, so a tile holds tile_blocks // 32 of
-    # them.  Each tile's sets draw their raw variates just before it is formed,
-    # so a call of four tiles peaks as a call of one tile does; drawing the
-    # whole call's variates up front would hold four tiles' worth of them
+    # them.  Each tile's sets draw their bits and raw variates just before it
+    # is formed and are counted once it decides, so calls of four and sixteen
+    # tiles peak as a call of one tile does; drawing the whole call's variates,
+    # or holding its symbols and decisions, would grow with its sets
     d = build_design("c44")
     for key in (("afost", "c44", "rayleigh"), ("stssc", "c44", "unit-mag")):
         per_tile = batch.tile_blocks(key[0], d, constellation_for(d), d.M) // 32
         tiles.decided = 0
         one_tile = traced_peak(*key, 128, per_tile)
-        four_tiles = traced_peak(*key, 128, 4 * per_tile)
-        assert tiles.decided == 5, key
-        assert four_tiles < 1.1 * one_tile, (key, one_tile, four_tiles)
+        for n_tiles in (4, 16):
+            peak = traced_peak(*key, 128, n_tiles * per_tile)
+            assert peak < 1.1 * one_tile, (key, n_tiles, one_tile, peak)
+        assert tiles.decided == 1 + 4 + 16, key
 
 
 # destination 0's bit errors in each of two 5000-bit sets (seeds 81 and 82) at

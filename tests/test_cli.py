@@ -231,10 +231,13 @@ def test_sigint_stops_sweep_and_its_workers(tmp_path):
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     # stderr goes to a file: a pipe would stay open as long as an orphaned worker runs
     err = tempfile.TemporaryFile()
+    # the child takes SIGINT's default disposition even where pytest runs with it
+    # ignored, which a child would inherit and which would let the sweep run on
     proc = subprocess.Popen(
         [sys.executable, "-m", "stssc.cli", "run", "--snr", "0:0.01:100", "--packets", "2",
          "--workers", "2", "-o", str(tmp_path / "out.csv")],
         cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=err,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     workers = {}
     try:

@@ -158,9 +158,9 @@ def test_set_seeds_equal_numpy_seed_sequence(seed, point, start, count):
 
 
 def test_seed_hash_blocks_do_not_change_results(monkeypatch, tiles):
-    # 13 sets of 100 bits (25 blocks) go 2 to a 50-block tile and 8 to a group
-    # of four tiles; a hash covers whole groups, so SEEDS_PER_HASH = 3 hashes 8
-    # and then 5 seeds per point, and 20 all 13
+    # 13 sets of 100 bits (25 blocks) go 2 to a 50-block tile, and each hash
+    # block of seeds to one call: SEEDS_PER_HASH = 3 hashes 3, 3, 3, 3 and 1
+    # seeds per point, in 2, 2, 2, 2 and 1 tiles, and 20 all 13 in 7 tiles
     cfg = SimConfig(scheme="afost", code="alamouti", seed=9, packets=13, packet_bits=100,
                     snr_db_list=(4.0, 8.0))
     expected = run_sweep(cfg)
@@ -170,13 +170,13 @@ def test_seed_hash_blocks_do_not_change_results(monkeypatch, tiles):
     real = harness._set_seeds
     monkeypatch.setattr(harness, "_set_seeds",
                         lambda *args: hashed.append(len(args[2])) or real(*args))
-    for per_hash, sizes in ((3, [8, 5]), (20, [13])):
+    for per_hash, sizes, per_point in ((3, [3, 3, 3, 3, 1], 9), (20, [13], 7)):
         monkeypatch.setattr(harness, "SEEDS_PER_HASH", per_hash)
         hashed.clear()
         tiles.decided = 0
         assert run_sweep(cfg) == expected
         assert hashed == sizes * 2
-        assert tiles.decided == 7 * 2
+        assert tiles.decided == per_point * 2
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -436,8 +436,8 @@ def test_sigint_is_held_until_the_block_ends():
 @pytest.mark.parametrize("scheme", ["stssc", "afost", "dstc", "direct"])
 def test_sweep_records_do_not_depend_on_grouping(monkeypatch, tiles, scheme):
     # 127-bit QPSK sets are 32 blocks: 40 sets run as one call of one tile.
-    # A set spans two 20-block tiles, and a call holds as many sets as four
-    # tiles' 80 blocks do, two; with one-block tiles, one set of 32 tiles
+    # The call takes the point's whole hash block of 40 sets at any tile size:
+    # a set spans two 20-block tiles, or 32 one-block tiles
     cfg = SimConfig(scheme=scheme, code="alamouti", seed=9, packets=40, packet_bits=127,
                     snr_db_list=(0.0, 10.0))
     calls = []
@@ -446,13 +446,13 @@ def test_sweep_records_do_not_depend_on_grouping(monkeypatch, tiles, scheme):
                         lambda *args: calls.append(len(args[-1])) or real(*args))
     grouped = run_sweep(cfg)
     assert calls == [40] * 2 and tiles.decided == 2
-    for blocks, group, per_set in ((20, 2, 2), (1, 1, 32)):
+    for blocks, per_set in ((20, 2), (1, 32)):
         calls.clear()
         tiles.decided = 0
         assert tiles.force(blocks, scheme, build_design("alamouti"), get_constellation("qpsk"),
                            2) == blocks
         assert run_sweep(cfg) == grouped
-        assert calls == [group] * (80 // group) and tiles.decided == 80 * per_set
+        assert calls == [40] * 2 and tiles.decided == 80 * per_set
 
 
 def test_noiseless_point_is_error_free():
