@@ -3,7 +3,8 @@
 The candidate search dominates the destination's work: every coherence
 block evaluates |Q|^N candidate vectors per slot.  It computes the linear
 and quadratic metric terms as real BLAS matmuls over all candidates and
-keeps the first minimum, so ties go to the lowest candidate index.
+keeps the first minimum, so ties go to the lowest candidate index.  Its
+operands keep the blocks on the last axis, as the batch forms them.
 
 afost_argmin is the same search: the amplify-and-forward distance expands
 into the same linear and quadratic terms, which it sums over the relays first.
@@ -29,7 +30,9 @@ def _real_inner(a, b):
     """Re(sum_l a[..., l] * conj(b[c, l])) for every c, as one real BLAS matmul -> (..., C).
 
     Re(a conj(b)) = a.real b.real + a.imag b.imag, so the float64 views of
-    a and b (real and imaginary parts interleaved) are multiplied directly.
+    a and b (real and imaginary parts interleaved) are multiplied directly, b
+    as the matmul's columns by a transposed view: a contiguous transposed copy
+    rounds some small tiles' terms otherwise, and b as rows breaks exact ties otherwise.
     """
     L = a.shape[-1]
     af = np.ascontiguousarray(a).view(np.float64).reshape(-1, 2 * L)
@@ -60,30 +63,33 @@ def candidate_table(xc):
         _table.reset(token)
 
 
-def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
-    """u: (B,N,K), gram: (B,K',N,N), xc: (C,N) kappa-scaled candidates -> (B,K) indices.
+def _search(u, gram, xc, sqrt_rho):
+    """Each slot's and block's first least-metric candidate: u (K, N, B) -> (K, B) indices.
 
-    K' is K or 1; a single Gram per block is shared by all K slots.
+    gram is (N, N, B), one per block for all its slots, or (K, N, N, B), one
+    per slot.  The linear term's BLAS rows are (K B, 2N), slot-major.
     """
-    B, N, K = u.shape
-    rho = sqrt_rho * sqrt_rho
-    metrics = _real_inner(u.transpose(0, 2, 1), xc)                 # (B, K, C) linear term
+    N, B = u.shape[1:]
+    metrics = _real_inner(np.moveaxis(u, 1, 2), xc)                 # (K, B, C) linear term
     held, outers = _table.get()
     if held is not xc:
         outers = candidate_outers(xc)
-    quad = _real_inner(gram.reshape(B, gram.shape[1], N * N), outers)   # (B, K', C)
+    gram = gram.reshape(gram.shape[:-3] + (N * N, B))
+    quad = _real_inner(np.moveaxis(gram, -1, -2), outers)           # (B, C) or (K, B, C)
     metrics *= -4.0 * sqrt_rho
-    quad *= 2.0 * rho
+    quad *= 2.0 * (sqrt_rho * sqrt_rho)
     metrics += quad
-    return np.argmin(metrics, axis=2).astype(np.int64)
+    return np.argmin(metrics, axis=-1)
+
+
+def _joint_argmin_numpy(u, gram, xc, sqrt_rho):
+    """_search of block-first operands: u (B, N, K), gram (B, K', N, N), K' = K or 1 -> (B, K)."""
+    return _search(u.T, np.moveaxis(gram, 0, -1), xc, sqrt_rho).T
 
 
 def joint_argmin(u, gram, xc, sqrt_rho):
-    """Batched exact-slot-metric candidate argmin; returns (B, K) candidate indices.
-
-    gram is (B, K, N, N) or, when every slot shares one Gram matrix, (B, 1, N, N).
-    """
-    return _joint_argmin_numpy(u, gram, xc, float(sqrt_rho))
+    """Batched exact-slot-metric candidate argmin of blocks-last operands: _search."""
+    return _search(u, gram, xc, float(sqrt_rho))
 
 
 def sum_products(a, b):
@@ -95,14 +101,13 @@ def sum_products(a, b):
 
 
 def afost_argmin(y, F, xc):
-    """Batched amplify-and-forward candidate argmin; returns (B, K) candidate indices.
+    """Batched amplify-and-forward candidate argmin, blocks last; returns (K, B) candidate indices.
 
-    y: (B,M,K), F: (B,M,N), xc: (C,N).  Since ||y_t - F x||^2 =
+    y: (M, K, B), F: (M, N, B), xc: (C, N).  Since ||y_t - F x||^2 =
     ||y_t||^2 - 2 Re(x^H F^H y_t) + ||F x||^2, this is joint_argmin's search
-    with u = F^H y, Gram = F^T F* and sqrt_rho = 1, summed over the relays along
-    the blocks; y and F are best transposed views of blocks-last arrays.
+    with u = F^H y, Gram = F^T F* and sqrt_rho = 1, summed over the relays
+    along the blocks.
     """
-    y, F = y.transpose(1, 2, 0), F.transpose(1, 2, 0)
-    u = sum_products(F.conj()[:, :, None], y[:, None])              # (N, K, B)
+    u = sum_products(F.conj()[:, None], y[:, :, None])              # (K, N, B)
     gram = sum_products(F[:, :, None], F.conj()[:, None])           # (N, N, B)
-    return _joint_argmin_numpy(u.transpose(2, 0, 1), gram.transpose(2, 0, 1)[:, None], xc, 1.0)
+    return _search(u, gram, xc, 1.0)

@@ -8,11 +8,12 @@ of working set (tile_blocks; whole sets, or a block range of a longer set).
 A tile's sets draw just before it is formed and are counted once it decides,
 so the bits, draws, symbols, gains, noise and decisions exist for one tile
 (or longer set) only, and a call's memory does not grow with its sets.
-stssc, afost and dstc compute along the blocks of a blocks_last copy.  stssc and
-afost share the relay gain rule (schemes.af_gains) and the candidate
-search (stssc._kernels).  The tests check the baselines against dense
-per-block references replayed from the same random stream, and stssc's
-decisions against the brute-force oracle (decoder.brute_force_indices).
+Every tile is formed with its blocks on the last axis, and every scheme
+computes along them, through the candidate search.  stssc and afost share
+the relay gain rule (schemes.af_gains) and the candidate search
+(stssc._kernels).  The tests check the baselines against dense per-block
+references replayed from the same random stream, and stssc's decisions
+against the brute-force oracle (decoder.brute_force_indices).
 
 Every design is a signed permutation (see stssc.designs), so relay
 encoding and the matched filter are index scatters and gathers with sign
@@ -87,8 +88,8 @@ def block_bytes(scheme: str, design: OrthogonalDesign, constellation: Constellat
     """A block's share of a tile's working set, in bytes.
 
     Every formed complex value, the symbols X and each DRAW_RULES draw, counts
-    48 B: itself, its blocks_last copy and the decide step's intermediates.  A
-    candidate search adds the block's K |Q|^N float64 candidate metrics.
+    48 B: itself and the decide step's intermediates.  A candidate search
+    adds the block's K |Q|^N float64 candidate metrics.
     """
     M, K, T = design.M, design.K, design.T
     values = N * K + sum(prod(shape) for shape, _ in DRAW_RULES[scheme](N, M, K, T))
@@ -158,23 +159,15 @@ def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
     return stat
 
 
-def blocks_last(arrays) -> list:
-    """Copies with the leading (blocks) axis last, each popped off the list as it is copied."""
-    return [a.transpose(*range(1, a.ndim), 0).copy() for a in map(arrays.pop, [0] * len(arrays))]
-
-
 def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2):
-    """Relay-to-decision chain of a tile of stssc blocks; returns candidate indices (B, K).
+    """Relay-to-decision chain of a tile of B stssc blocks; returns candidate indices (K, B).
 
-    X: (B, N, K) scaled source symbols, hSR: (B, N, M), hRD: (B, M),
-    n: (B, M, K) broadcast noise, w: (B, M, T) forwarding noise.  The
-    inputs are copied with the blocks moved to the last axis, so every
-    operation runs along the B blocks rather than along axes of 2 to 4
-    entries, and q, u and the Gram are sums over the sources or the
-    relays.  The relay codewords and the destination's observations are
-    never formed (see relay_statistics).
+    Blocks last: X (N, K, B) scaled source symbols, hSR (N, M, B), hRD (M, B),
+    n (M, K, B) broadcast and w (M, T, B) forwarding noise.  Every operation
+    runs along the B blocks, and q, u and the Gram are sums over the sources
+    or the relays.  The relay codewords and the destination's observations
+    are never formed (see relay_statistics).
     """
-    X, hSR, hRD, n, w = blocks_last([X, hSR, hRD, n, w])
     g = af_gains(hSR, rho, sigma2, source_axis=0)                                # (M, B)
     q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n       # (M, K, B)
     stat = relay_statistics(design, q, w, hRD, g)
@@ -183,8 +176,7 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     u = _kernels.sum_products(stat[:, :, None], coef[:, None])                   # (K, N, B)
     a = hRS * (g**2 * np.abs(hRD) ** 2)[:, None]
     gram = _kernels.sum_products(a[:, :, None], hRS.conj()[:, None])             # (N, N, B)
-    return _kernels.joint_argmin(u.transpose(2, 1, 0), gram.transpose(2, 0, 1)[:, None],
-                                 candidates_scaled, sqrt(rho))
+    return _kernels.joint_argmin(u, gram, candidates_scaled, sqrt(rho))
 
 
 def source_bits(rngs, N: int, L: int) -> np.ndarray:
@@ -247,7 +239,7 @@ def draw_variates(plan, rngs) -> dict:
 def afost_observations(X, hSR, hRD, n, w, rho: float, sigma2: float):
     """afost's observations y (M, K, B) = F x + g hRD n + w and channel F (M, N, B), blocks last.
 
-    X (N, K, B), hSR (N, M, B), hRD (M, B), n (M, K, B) and w (M, K, B) as in blocks_last.
+    X (N, K, B), hSR (N, M, B), hRD (M, B), n (M, K, B) and w (M, K, B), blocks last.
     """
     g = af_gains(hSR, rho, sigma2, source_axis=0)                                   # (M, B)
     q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n          # (M, K, B)
@@ -288,40 +280,40 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     if scheme in SEARCHES:
         xc = kappa * enumerate_candidates(constellation, N)
 
-    def decide(arrays):
-        """Source 0's point indices (b, K) for a tile of b blocks, given as the list [X, *draws]."""
-        if scheme == "stssc":
-            idx = stssc_decode_batch(*arrays, design, xc, rho, sigma2)
-            return first_source_index(constellation, N, idx)
-        if scheme == "afost":
-            y, F = afost_observations(*blocks_last(arrays), rho, sigma2)
-            idx = _kernels.afost_argmin(y.transpose(2, 0, 1), F.transpose(2, 0, 1), xc)
+    def decide(X, *draws):
+        """Source 0's point indices (K, b) for a tile of b blocks: X (N, K, b) and its draws."""
+        if scheme in SEARCHES:
+            idx = (stssc_decode_batch(X, *draws, design, xc, rho, sigma2) if scheme == "stssc"
+                   else _kernels.afost_argmin(*afost_observations(X, *draws, rho, sigma2), xc))
             return first_source_index(constellation, N, idx)
         if scheme == "dstc":
-            # destination 0's chain alone: the other sources' phases are time-orthogonal;
-            # heq keeps its einsum on the block-first hRD, arrays[2] (an np.sum rounds otherwise)
+            # destination 0's chain alone: the other sources' phases are time-orthogonal
+            hSR0, hRD, n, w = draws
             scale = sqrt(rho / M) * kappa
-            heq = np.einsum("km,bm->bk", design.column_weights(), np.abs(scale * arrays[2]) ** 2)
-            arrays[0] = arrays[0][:, 0]                                             # x0 (b, K)
-            x0, hSR0, hRD, n, w = blocks_last(arrays)
-            q = sqrt(rho) * hSR0[:, None] * x0 + n                                  # (M, K, b)
+            # numpy 2.4.6's einsum adds heq's relay terms as (v0 + v2) + (v1 + v3) at M = 4,
+            # (v0 + v2) + v1 at M = 3, where np.sum or adds in order differ in about a quarter
+            # of rows; a transposed view rounds otherwise too, so it takes a block-first copy
+            v = np.abs(scale * hRD.T.copy()) ** 2                                   # (b, M)
+            heq = np.einsum("km,bm->bk", design.column_weights(), v)
+            q = sqrt(rho) * hSR0[:, None] * X[0] + n                                # (M, K, b)
             rd = nearest_points(constellation, q / (sqrt(rho) * kappa * hSR0[:, None]))
             y = scale * _kernels.sum_products(hRD[:, None], relay_encode(design, rd)) + w
             # relay_statistics' signed gather with heff = scale hRD, summed over the relays
             stat = (scale * hRD).conj()[:, None] * (design.sign[:, :, None] * y[design.slot])
             np.negative(stat.imag, out=stat.imag, where=design.conjugated[:, :, None])
-            return nearest_index(constellation, np.sum(stat, axis=0) / heq.T).T
-        X, hSD0, w = arrays
-        y = sqrt(rho) * hSD0[:, None] * X[:, 0] + w
-        return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0[:, None]))
+            return nearest_index(constellation, np.sum(stat, axis=0) / heq.T)
+        hSD0, w = draws
+        y = sqrt(rho) * hSD0 * X[0] + w
+        return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0))
 
     def formed(kind, shape, parts, b):
-        """A tile's b blocks of one draw from its raw variates parts: gains, noise, or zeros."""
+        """A tile's b blocks of one draw as (*shape, b) from its raw variates: gains, noise or 0."""
+        parts = [np.moveaxis(p.reshape((b,) + shape), 0, -1) for p in parts]
         if kind == "gain":
-            return _gains(fading, parts).reshape((b,) + shape)
+            return _gains(fading, parts)
         if sigma2:
-            return _complex_noise(sigma2, *parts).reshape((b,) + shape)
-        return np.zeros((b,) + shape, dtype=complex)
+            return _complex_noise(sigma2, *parts)
+        return np.zeros(shape + (b,), dtype=complex)
 
     errors = np.empty(len(rngs), dtype=np.intp)
     tile = tile_blocks(scheme, design, constellation, N)
@@ -336,17 +328,17 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             sym[..., :n_syms] = idx.reshape(k, N, n_syms)
             del idx
             sent0 = sym[:, 0]
-            sym = sym.reshape(k, N, n_blocks, K).transpose(0, 2, 1, 3)    # (k, n_blocks, N, K)
+            sym = sym.reshape(k, N, n_blocks, K)
             parts = draw_variates(plan, sets)
             decided0 = np.empty((k, n_blocks, K), dtype=np.int8)
             for b0 in range(0, n_blocks, tile):
                 blocks = slice(b0, b0 + tile)
-                arrays = [points[sym[:, blocks]].reshape(-1, N, K)]                # X (b, N, K)
-                arrays += [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
-                                  len(arrays[0]))
-                           for entry, (shape, kind) in enumerate(rules)]
+                X = points.take(sym[:, :, blocks].transpose(1, 3, 0, 2)).reshape(N, K, -1)
+                draws = [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
+                                X.shape[-1])
+                         for entry, (shape, kind) in enumerate(rules)]
                 if blocks.stop >= n_blocks:
                     parts.clear()       # the sets' raw variates go before their last tile decides
-                decided0[:, blocks] = decide(arrays).reshape(k, -1, K)
+                decided0[:, blocks] = decide(X, *draws).T.reshape(k, -1, K)
             errors[s0:s0 + k] = set_bit_errors(constellation, decided0.reshape(k, -1), sent0, L)
     return errors

@@ -46,15 +46,15 @@ def _gain_methods(model: str) -> tuple:
 
 
 def _gains(model: str, variates) -> np.ndarray:
-    """Fading gains from the variates of _gain_methods(model), in its order.
+    """Fading gains from the variates of _gain_methods(model), in its order, C-contiguous.
 
     A unit-mag gain e^{j 2 pi u} is written as cos and sin into the parts of
     one complex array: the values of np.exp(2j * np.pi * u), bit for bit,
-    without its complex temporaries.
+    without its complex temporaries.  The variates may be strided views.
     """
     if model == "rayleigh":
         re, im = variates
-        return (re + 1j * im) / np.sqrt(2.0)
+        return np.divide(re + 1j * im, np.sqrt(2.0), order="C")
     theta = 2 * np.pi * variates[0]
     h = np.empty(theta.shape, dtype=complex)
     np.cos(theta, out=h.real)

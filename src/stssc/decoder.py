@@ -74,7 +74,8 @@ def enumerate_candidates(constellation: Constellation, N: int) -> np.ndarray:
     The table is read-only and shared: calls with the same points and N
     return the same array.
     """
-    if constellation.size**N > MAX_CANDIDATES:
+    # |Q| >= 2, so |Q|^N > MAX_CANDIDATES from N = its bit length on: no larger power is formed
+    if constellation.size ** min(N, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
         raise ConfigurationError(
             f"candidate space {constellation.size}^{N} exceeds {MAX_CANDIDATES}; "
             "reduce the number of sources or the constellation order"

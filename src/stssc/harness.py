@@ -135,7 +135,8 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError(f"unknown normalization {cfg.normalization!r}")
     if cfg.phases_override is not None and cfg.phases_override < 1:
         raise ConfigurationError("phases override must be a positive slot count")
-    if constellation.size**cfg.sources > MAX_CANDIDATES:
+    # the exponent capped as in decoder.enumerate_candidates: |Q|^N of a huge N is never formed
+    if constellation.size ** min(cfg.sources, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
         raise ConfigurationError(
             f"candidate space {constellation.size}^{cfg.sources} too large; "
             "reduce sources or constellation order"

@@ -88,8 +88,9 @@ def test_criterion_02_decoder_oracle_equivalence():
                 fw = awgn((blocks_per_case, M, T), 1.0, rng)
                 for lo in range(0, blocks_per_case, tile_size):
                     tile = slice(lo, lo + tile_size)
-                    fast = stssc_decode_batch(X[tile], hSR[tile], hRD[tile], bn[tile], fw[tile],
-                                              design, kappa * cand, rho, 1.0)
+                    fast = stssc_decode_batch(*(np.moveaxis(a[tile], 0, -1)
+                                                for a in (X, hSR, hRD, bn, fw)),
+                                              design, kappa * cand, rho, 1.0).T
                     g = af_gains(hSR[tile], rho, 1.0, source_axis=1)
                     y = oracle_observations(design, X[tile], hSR[tile], hRD[tile], g, bn[tile],
                                             fw[tile], rho)

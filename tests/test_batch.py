@@ -90,6 +90,7 @@ def test_stssc_decisions_unchanged_when_relay_links_turn_by_j(name, N, blocks, s
     n, w = cn(d.M, d.K), cn(d.M, d.T)
     xc = kappa * enumerate_candidates(c, N)
     rho = 10.0 ** (snr_db / 10.0)
+    X, hSR, hRD, n, w = (np.moveaxis(a, 0, -1) for a in (X, hSR, hRD, n, w))   # blocks last
     decided = stssc_decode_batch(X, hSR, hRD, n, w, d, xc, rho, 1.0)
     turned = stssc_decode_batch(X, hSR, 1j * hRD, n, 1j * w, d, xc, rho, 1.0)
     np.testing.assert_array_equal(turned, decided)
@@ -115,11 +116,11 @@ def test_stssc_decisions_equal_afost_on_relabelled_forwarding_noise(name, fading
     picked = d.sign * w[:, np.arange(M)[:, None], d.slot]                         # (B, M, K)
     w_a = np.where(d.conjugated, picked.conj() * (hRD / hRD.conj())[:, :, None], picked)
     xc = kappa * enumerate_candidates(c, N)
+    X, hSR, hRD, n, w, w_a = (np.moveaxis(a, 0, -1) for a in (X, hSR, hRD, n, w, w_a))
     for snr_db in (-5, 0, 10, 20, 40):
         rho = 10.0 ** (snr_db / 10.0)
         stssc = stssc_decode_batch(X, hSR, hRD, n, w, d, xc, rho, 1.0)
-        y, F = batch.afost_observations(*batch.blocks_last([X, hSR, hRD, n, w_a]), rho, 1.0)
-        afost = _kernels.afost_argmin(y.transpose(2, 0, 1), F.transpose(2, 0, 1), xc)
+        afost = _kernels.afost_argmin(*batch.afost_observations(X, hSR, hRD, n, w_a, rho, 1.0), xc)
         assert np.count_nonzero(stssc != afost) == 0, snr_db
 
 

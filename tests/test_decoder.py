@@ -74,6 +74,8 @@ def test_enumerate_candidates_order_and_limit():
     np.testing.assert_allclose(cand[4], [c.points[1], c.points[0]])
     with pytest.raises(ConfigurationError):
         enumerate_candidates(c, 11)                 # 4^11 > 10^6
+    with pytest.raises(ConfigurationError):
+        enumerate_candidates(c, 10**12)             # rejected without forming 4^(10^12)
 
 
 def test_enumerate_candidates_table_is_shared_and_read_only():

@@ -100,6 +100,18 @@ def test_run_point_rejects_bad_snr():
             run_point(cfg, snr_db)
 
 
+def test_huge_source_counts_are_rejected_without_forming_the_candidate_count(tmp_path):
+    # 4^(10^12) would need 250 GB to form; validate and the CLI reject the
+    # count without forming it, in milliseconds
+    for sources in (10**12, 10**100):
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="too large"):
+            validate(SimConfig(sources=sources))
+        assert time.perf_counter() - t0 < 0.1
+    assert cli.main(["run", "--sources", str(10**12), "-o", str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("name", ["sources", "relays", "packets", "packet_bits", "seed", "workers",
                                   "phases_override"])
 def test_validate_rejects_non_integer_values_before_simulating(monkeypatch, name):

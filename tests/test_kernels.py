@@ -17,6 +17,12 @@ def random_problem(rng, B=40, N=2, K=2, M=3):
     return u, gram, y, F, xc
 
 
+def blocks_last(a):
+    # a C-contiguous copy with the blocks moved from the first axis to the last,
+    # the layout the batch forms its tiles in
+    return np.moveaxis(a, 0, -1).copy()
+
+
 def dense_reference(u, gram, xc, sqrt_rho):
     # every candidate's slot metric -4 sqrt(rho) Re(x^H u_t) + 2 rho Re(x^T G x*),
     # as dense einsums; first candidate of least metric
@@ -28,25 +34,40 @@ def dense_reference(u, gram, xc, sqrt_rho):
 @pytest.mark.parametrize("shared_gram", [False, True])
 def test_joint_argmin_matches_dense_reference(shared_gram):
     rng = np.random.default_rng(3)
-    for N in (2, 3, 4):
-        u, gram, _, _, xc = random_problem(rng, B=200, N=N, K=N)
+
+    def draw(B, N):
+        u, gram, _, _, xc = random_problem(rng, B=B, N=N, K=N)
         if shared_gram:
-            gram = gram[:, :1]
-        else:                                   # an independent Gram per slot
-            h = rng.normal(size=(200, N, N)) + 1j * rng.normal(size=(200, N, N))
-            gram = np.einsum("bks,bkp->bksp", h, h.conj())
-        np.testing.assert_array_equal(_kernels.joint_argmin(u, gram, xc, 2.0),
+            return u, gram[:, :1], xc
+        h = rng.normal(size=(B, N, N)) + 1j * rng.normal(size=(B, N, N))
+        return u, np.einsum("bks,bkp->bksp", h, h.conj()), xc     # an independent Gram per slot
+
+    def check(u, gram, xc):
+        gram_last = blocks_last(gram)[0] if shared_gram else blocks_last(gram)
+        np.testing.assert_array_equal(_kernels.joint_argmin(u.T.copy(), gram_last, xc, 2.0).T,
                                       dense_reference(u, gram, xc, 2.0))
+
+    for N in (2, 3, 4):
+        check(*draw(200, N))
+    # a source with all-zero gains has zero u entries and a zero Gram row and
+    # column: it ties the candidates that differ only in its symbol, and both
+    # searches keep the first of them
+    for N in (2, 3, 4):
+        u, gram, xc = draw(300, N)
+        for s in range(N):
+            u0, gram0 = u.copy(), gram.copy()
+            u0[:, s] = gram0[..., s, :] = gram0[..., :, s] = 0
+            check(u0, gram0, xc)
 
 
 def test_shared_gram_matches_repeated_gram():
-    # one (B, 1, N, N) Gram per block decides as the same Gram repeated per slot
+    # one (N, N, B) Gram per block decides as the same Gram repeated per slot
     rng = np.random.default_rng(4)
     for N, K in ((2, 2), (3, 3), (4, 4)):
         u, gram, _, _, xc = random_problem(rng, B=500, N=N, K=K)
         np.testing.assert_array_equal(
-            _kernels.joint_argmin(u, gram[:, :1], xc, 2.0),
-            _kernels.joint_argmin(u, gram, xc, 2.0),
+            _kernels.joint_argmin(u.T.copy(), blocks_last(gram[:, 0]), xc, 2.0),
+            _kernels.joint_argmin(u.T.copy(), blocks_last(gram), xc, 2.0),
         )
 
 
@@ -62,18 +83,13 @@ def afost_broadcast(y, F, xc):
     return np.argmin(afost_distances(y, F, xc), axis=2)
 
 
-def blocks_last_views(*arrays):
-    # (B, ...) transposed views of blocks-last copies, as the batch passes y and F
-    views = [np.moveaxis(a, 0, -1).copy().transpose(2, 0, 1) for a in arrays]
-    assert not any(v.flags.c_contiguous for v in views)
-    return views
-
-
 def assert_afost_argmin_is_broadcast(y, F, xc):
-    # on C-contiguous arrays and on the batch's strided views alike
+    # on blocks-last C-contiguous arrays, as the batch passes y and F, and on strided views alike
     expected = afost_broadcast(y, F, xc)
-    np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc), expected)
-    np.testing.assert_array_equal(_kernels.afost_argmin(*blocks_last_views(y, F), xc), expected)
+    np.testing.assert_array_equal(_kernels.afost_argmin(blocks_last(y), blocks_last(F), xc).T,
+                                  expected)
+    np.testing.assert_array_equal(
+        _kernels.afost_argmin(np.moveaxis(y, 0, -1), np.moveaxis(F, 0, -1), xc).T, expected)
 
 
 def test_afost_argmin_matches_broadcast():
@@ -89,8 +105,9 @@ def test_afost_argmin_matches_broadcast():
     xc = enumerate_candidates(get_constellation("qpsk"), 2)
     y = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
     F = np.zeros((3, 2, 2), dtype=complex)
-    np.testing.assert_array_equal(_kernels.afost_argmin(y, F, xc), 0)
-    np.testing.assert_array_equal(_kernels.afost_argmin(*blocks_last_views(y, F), xc), 0)
+    np.testing.assert_array_equal(_kernels.afost_argmin(blocks_last(y), blocks_last(F), xc), 0)
+    np.testing.assert_array_equal(
+        _kernels.afost_argmin(np.moveaxis(y, 0, -1), np.moveaxis(F, 0, -1), xc), 0)
     np.testing.assert_array_equal(afost_broadcast(y, F, xc), 0)
 
 
@@ -104,7 +121,7 @@ def test_afost_argmin_picks_a_nearest_candidate_on_signed_unit_gains():
         _, _, y, F, xc = random_problem(rng, B=300, N=N, K=K, M=M)
         F = rng.integers(-1, 2, size=F.shape) + 0j
         dist = afost_distances(y, F, xc)
-        idx = _kernels.afost_argmin(y, F, xc)
+        idx = _kernels.afost_argmin(blocks_last(y), blocks_last(F), xc).T
         least = np.sort(dist, axis=2)
         np.testing.assert_allclose(np.take_along_axis(dist, idx[..., None], axis=2)[..., 0],
                                    least[..., 0], rtol=1e-12, atol=0)
