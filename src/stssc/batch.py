@@ -65,15 +65,12 @@ SLOT_RULES = {
 SCHEMES = tuple(SLOT_RULES)
 SEARCHES = ("stssc", "afost")       # the schemes that decide by candidate search
 
-# the draws after the bits, in draw order: (per-block shape, kind); see draw_plan
+# the draws after the bits, per-block shapes in draw order: (gains, noise); see draw_variates
 DRAW_RULES = {
-    "stssc": lambda N, M, K, T: (((N, M), "gain"), ((M,), "gain"),
-                                 ((M, K), "noise"), ((M, T), "noise")),
-    "afost": lambda N, M, K, T: (((N, M), "gain"), ((M,), "gain"),
-                                 ((M, K), "noise"), ((M, K), "noise")),
-    "dstc": lambda N, M, K, T: (((M,), "gain"), ((M,), "gain"),
-                                ((M, K), "noise"), ((T,), "noise")),
-    "direct": lambda N, M, K, T: (((), "gain"), ((K,), "noise")),
+    "stssc": lambda N, M, K, T: (((N, M), (M,)), ((M, K), (M, T))),
+    "afost": lambda N, M, K, T: (((N, M), (M,)), ((M, K), (M, K))),
+    "dstc": lambda N, M, K, T: (((M,), (M,)), ((M, K), (T,))),
+    "direct": lambda N, M, K, T: (((),), ((K,),)),
 }
 
 
@@ -92,7 +89,8 @@ def block_bytes(scheme: str, design: OrthogonalDesign, constellation: Constellat
     adds the block's K |Q|^N float64 candidate metrics.
     """
     M, K, T = design.M, design.K, design.T
-    values = N * K + sum(prod(shape) for shape, _ in DRAW_RULES[scheme](N, M, K, T))
+    values = N * K + sum(prod(shape) for shapes in DRAW_RULES[scheme](N, M, K, T)
+                         for shape in shapes)
     metrics = K * constellation.size**N if scheme in SEARCHES else 0
     return 48 * values + 8 * metrics
 
@@ -203,37 +201,28 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
     return bits.reshape(len(rngs), N, L)
 
 
-def draw_plan(rules, fading: str, sigma2: float, n_blocks: int) -> list:
-    """A set's Generator fills for DRAW_RULES rules over n_blocks blocks, in runs of one method.
+def draw_variates(rules, fading: str, n_blocks: int, rngs) -> list:
+    """Each set's variates of DRAW_RULES rules over n_blocks blocks, set i's drawn from rngs[i].
 
-    A gain takes channel._gain_methods' variates, noise two normals (none when
-    sigma2 = 0).  Returns [(method, [(rules entry, start, stop, per-block shape), ...])];
-    one fill of a run's summed size gives its fills' values, as the fills in turn would.
+    Two fills, one Generator call each: every gain's channel._gain_methods
+    variates (a model's are all of one method), then every noise's two
+    standard normals, in rule order; one fill of the summed size gives the
+    values of its draws' fills in turn.  Returns, per draw in rule order, its
+    variates as (S, n_blocks, *shape) views into the fills.
     """
     normal = np.random.Generator.standard_normal
-    methods = {"gain": _gain_methods(fading), "noise": (normal, normal) if sigma2 else ()}
-    plan = []
-    for entry, (shape, kind) in enumerate(rules):
-        for method in methods[kind]:
-            if not plan or plan[-1][0] != method:
-                plan.append((method, []))
-                start = 0
-            size = n_blocks * prod(shape)
-            plan[-1][1].append((entry, start, start + size, shape))
-            start += size
-    return plan
-
-
-def draw_variates(plan, rngs) -> dict:
-    """A draw_plan's variates {entry: [(S, n_blocks, *shape) view per fill]}, set i's by rngs[i]."""
-    parts = {}
-    for method, fills in plan:
-        raw = np.empty((len(rngs), fills[-1][2]))
+    views = []
+    for methods, shapes in zip((_gain_methods(fading), (normal, normal)), rules):
+        raw = np.empty((len(rngs), len(methods) * n_blocks * sum(map(prod, shapes))))
         for rng, row in zip(rngs, raw):
-            method(rng, out=row)
-        for entry, start, stop, shape in fills:
-            parts.setdefault(entry, []).append(raw[:, start:stop].reshape((len(rngs), -1) + shape))
-    return parts
+            methods[0](rng, out=row)
+        start = 0
+        for shape in shapes:
+            stop = start + len(methods) * n_blocks * prod(shape)
+            draw = raw[:, start:stop].reshape((len(rngs), len(methods), n_blocks) + shape)
+            views.append([draw[:, j] for j in range(len(methods))])
+            start = stop
+    return views
 
 
 def afost_observations(X, hSR, hRD, n, w, rho: float, sigma2: float):
@@ -253,16 +242,17 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
                         kappa_mode: str, packet_bits: int, rngs) -> np.ndarray:
     """Simulate one packet set per generator in rngs; returns their (S,) destination-0 bit errors.
 
-    Set i draws from rngs[i] alone: its bits (source_bits), then the scheme's
-    DRAW_RULES over all its blocks (draw_plan).  A tile is tile_blocks blocks:
-    as many whole sets as fit (at least one), or that many blocks of a longer
-    set.  A tile's sets draw just before it is formed (a longer set before its
-    first tile), their raw variates go before it (its last tile) decides, and
-    their errors are counted once it has; only the generators and the (S,)
-    errors span the call.  stssc and afost search one candidate table, whose
-    outer products are built once per call (_kernels.candidate_table).  Blocks
-    are independent, so each set's errors do not depend on which sets share
-    the call or on how it is cut into tiles.
+    Set i draws from rngs[i] alone: its bits (source_bits), then its DRAW_RULES
+    gains' and noise's variates over all its blocks (draw_variates), noise too
+    at sigma2 = 0.  A tile is tile_blocks blocks: as many whole sets as fit (at
+    least one), or that many blocks of a longer set.  A tile's sets draw just
+    before it is formed (a longer set before its first tile), their raw
+    variates go before it (its last tile) decides, and their errors are
+    counted once it has; only the generators and the (S,) errors span the
+    call.  stssc and afost search one candidate table, whose outer products
+    are built once per call (_kernels.candidate_table).  Blocks are
+    independent, so each set's errors do not depend on which sets share the
+    call or on how it is cut into tiles.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -275,7 +265,7 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
 
     points = kappa * np.append(constellation.points, 0)
     rules = DRAW_RULES[scheme](N, M, K, T)
-    plan = draw_plan(rules, fading, sigma2, n_blocks)
+    n_gains = len(rules[0])
 
     if scheme in SEARCHES:
         xc = kappa * enumerate_candidates(constellation, N)
@@ -306,14 +296,9 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         y = sqrt(rho) * hSD0 * X[0] + w
         return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0))
 
-    def formed(kind, shape, parts, b):
-        """A tile's b blocks of one draw as (*shape, b) from its raw variates: gains, noise or 0."""
-        parts = [np.moveaxis(p.reshape((b,) + shape), 0, -1) for p in parts]
-        if kind == "gain":
-            return _gains(fading, parts)
-        if sigma2:
-            return _complex_noise(sigma2, *parts)
-        return np.zeros(shape + (b,), dtype=complex)
+    def formed(variates, blocks, b):
+        """A tile's b blocks of one draw's variates, each as (*shape, b)."""
+        return [np.moveaxis(v[:, blocks].reshape((b,) + v.shape[2:]), 0, -1) for v in variates]
 
     errors = np.empty(len(rngs), dtype=np.intp)
     tile = tile_blocks(scheme, design, constellation, N)
@@ -329,16 +314,16 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
             del idx
             sent0 = sym[:, 0]
             sym = sym.reshape(k, N, n_blocks, K)
-            parts = draw_variates(plan, sets)
+            variates = draw_variates(rules, fading, n_blocks, sets)
             decided0 = np.empty((k, n_blocks, K), dtype=np.int8)
             for b0 in range(0, n_blocks, tile):
                 blocks = slice(b0, b0 + tile)
                 X = points.take(sym[:, :, blocks].transpose(1, 3, 0, 2)).reshape(N, K, -1)
-                draws = [formed(kind, shape, [p[:, blocks] for p in parts.get(entry, ())],
-                                X.shape[-1])
-                         for entry, (shape, kind) in enumerate(rules)]
+                b = X.shape[-1]
+                draws = [_gains(fading, formed(v, blocks, b)) for v in variates[:n_gains]]
+                draws += [_complex_noise(sigma2, *formed(v, blocks, b)) for v in variates[n_gains:]]
                 if blocks.stop >= n_blocks:
-                    parts.clear()       # the sets' raw variates go before their last tile decides
+                    variates.clear()    # the sets' raw variates go before their last tile decides
                 decided0[:, blocks] = decide(X, *draws).T.reshape(k, -1, K)
             errors[s0:s0 + k] = set_bit_errors(constellation, decided0.reshape(k, -1), sent0, L)
     return errors

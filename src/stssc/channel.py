@@ -63,11 +63,11 @@ def _gains(model: str, variates) -> np.ndarray:
 
 
 def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """CN(0, sigma2) samples sqrt(sigma2/2) (re + j im) from standard normal variates; sigma2 > 0.
+    """CN(0, sigma2) samples sqrt(sigma2/2) (re + j im) from standard normal variates; sigma2 >= 0.
 
-    Each part is scaled straight into the complex result, which gives the
-    values of the complex product without its temporaries (a variate that is
-    exactly zero may keep its sign where the product's zero would not).
+    Each part is scaled straight into the complex result: the values of the
+    complex product without its temporaries, save that a zero keeps its
+    variate's sign (at sigma2 = 0 every sample is such a signed zero).
     """
     w = np.empty(re.shape, dtype=complex)
     scale = sqrt(sigma2 / 2.0)

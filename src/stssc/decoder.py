@@ -74,13 +74,18 @@ def enumerate_candidates(constellation: Constellation, N: int) -> np.ndarray:
     The table is read-only and shared: calls with the same points and N
     return the same array.
     """
+    check_candidate_count(constellation, N)
+    return _candidate_table(np.asarray(constellation.points, dtype=complex).tobytes(), N)
+
+
+def check_candidate_count(constellation: Constellation, N: int) -> None:
+    """A ConfigurationError if the |Q|^N candidates of N sources exceed MAX_CANDIDATES."""
     # |Q| >= 2, so |Q|^N > MAX_CANDIDATES from N = its bit length on: no larger power is formed
     if constellation.size ** min(N, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
         raise ConfigurationError(
-            f"candidate space {constellation.size}^{N} exceeds {MAX_CANDIDATES}; "
+            f"candidate space {constellation.size}^{N} too large (more than {MAX_CANDIDATES}); "
             "reduce the number of sources or the constellation order"
         )
-    return _candidate_table(np.asarray(constellation.points, dtype=complex).tobytes(), N)
 
 
 def first_source_index(constellation: Constellation, N: int, idx):

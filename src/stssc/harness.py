@@ -17,7 +17,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .batch import SCHEMES, SLOT_RULES, blocks_per_set, simulate_packet_set
 from .channel import FADING_MODELS
-from .decoder import MAX_CANDIDATES
+from .decoder import check_candidate_count
 from .designs import build_design
 from .errors import ConfigurationError
 from .modem import KAPPA_MODES, check_compatible, get_constellation
@@ -122,9 +122,12 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError(f"at most {MAX_PACKETS} packets per SNR point")
     if cfg.packet_bits < 1:
         raise ConfigurationError("packet length must be positive")
-    if not cfg.snr_db_list:
+    if isinstance(cfg.snr_db_list, (str, bytes)) or not np.iterable(cfg.snr_db_list):
+        raise ConfigurationError(f"snr_db_list must be a sequence of SNRs, got {cfg.snr_db_list!r}")
+    snr_db_list = tuple(cfg.snr_db_list)
+    if not snr_db_list:
         raise ConfigurationError("SNR list must be nonempty")
-    _check_snr("snr_db_list", cfg.snr_db_list)
+    _check_snr("snr_db_list", snr_db_list)
     if cfg.seed < 0:
         raise ConfigurationError("seed must be nonnegative")
     if cfg.workers < 1:
@@ -135,13 +138,8 @@ def validate(config: SimConfig) -> SimConfig:
         raise ConfigurationError(f"unknown normalization {cfg.normalization!r}")
     if cfg.phases_override is not None and cfg.phases_override < 1:
         raise ConfigurationError("phases override must be a positive slot count")
-    # the exponent capped as in decoder.enumerate_candidates: |Q|^N of a huge N is never formed
-    if constellation.size ** min(cfg.sources, MAX_CANDIDATES.bit_length()) > MAX_CANDIDATES:
-        raise ConfigurationError(
-            f"candidate space {constellation.size}^{cfg.sources} too large; "
-            "reduce sources or constellation order"
-        )
-    return _normalised(cfg)
+    check_candidate_count(constellation, cfg.sources)
+    return _normalised(replace(cfg, snr_db_list=snr_db_list))
 
 
 def config_hash(config: SimConfig) -> str:

@@ -273,13 +273,13 @@ def test_source_bits_equal_integers_from_fresh_generators(N, L):
 
 @pytest.mark.parametrize("scheme", batch.SCHEMES)
 @pytest.mark.parametrize("fading", FADING_MODELS)
-@pytest.mark.parametrize("sigma2", [0.0, 1.0])
 @pytest.mark.parametrize("L", [127, 128])
-def test_merged_draws_equal_draws_in_rule_order(scheme, fading, sigma2, L):
+def test_merged_draws_equal_draws_in_rule_order(scheme, fading, L):
     # each set draws its bits (N*L = 381 odd, 384 even), then every DRAW_RULES
-    # entry over all its 32 blocks: a gain as one uniform (unit-mag) or two
-    # normals (rayleigh), noise as two normals (none when sigma2 = 0), each a
-    # Generator call of its own; draw_plan merges consecutive calls of one method
+    # array over all its 32 blocks, gains before noise: a gain as one uniform
+    # (unit-mag) or two normals (rayleigh), noise as two normals, each a
+    # Generator call of its own; draw_variates makes one call of the gains' and
+    # one of the noise's
     d = build_design("c34")
     c = get_constellation("qpsk")
     N, n_blocks = 3, blocks_per_set(d, c, L)
@@ -287,25 +287,39 @@ def test_merged_draws_equal_draws_in_rule_order(scheme, fading, sigma2, L):
     seeds = [np.random.SeedSequence([L, s]) for s in range(3)]
     ours = [np.random.default_rng(seed) for seed in seeds]
     ref = [np.random.default_rng(seed) for seed in seeds]
-    plan = batch.draw_plan(rules, fading, sigma2, n_blocks)
-    assert len(plan) == (2 if fading == "unit-mag" and sigma2 else 1)
     batch.source_bits(ours, N, L)
-    parts = batch.draw_variates(plan, ours)
+    variates = batch.draw_variates(rules, fading, n_blocks, ours)
     normal, uniform = np.random.Generator.standard_normal, np.random.Generator.random
-    methods = {"gain": [normal, normal] if fading == "rayleigh" else [uniform],
-               "noise": [normal, normal] if sigma2 else []}
+    gain, noise = ([normal, normal] if fading == "rayleigh" else [uniform]), [normal, normal]
+    draws = [(shape, gain) for shape in rules[0]] + [(shape, noise) for shape in rules[1]]
+    assert len(variates) == len(draws)
     for i, rng in enumerate(ref):
         rng.integers(0, 2, size=(N, L))
-        for entry, (shape, kind) in enumerate(rules):
-            expected = [method(rng, size=(n_blocks,) + shape) for method in methods[kind]]
-            got = [part[i] for part in parts.get(entry, [])]
-            assert len(got) == len(expected), (entry, kind)
-            for g, e in zip(got, expected):
+        for (shape, methods), views in zip(draws, variates):
+            expected = [method(rng, size=(n_blocks,) + shape) for method in methods]
+            assert len(views) == len(expected), shape
+            for g, e in zip(views, expected):
                 assert not g.flags.owndata
-                np.testing.assert_array_equal(g, e)
+                np.testing.assert_array_equal(g[i], e)
     for a, b in zip(ours, ref):
         np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))
         np.testing.assert_array_equal(a.random(4), b.random(4))
+
+
+@pytest.mark.parametrize("scheme", batch.SCHEMES)
+@pytest.mark.parametrize("code", DESIGN_NAMES)
+@pytest.mark.parametrize("fading", FADING_MODELS)
+def test_noiseless_sets_draw_the_noisy_stream(scheme, code, fading):
+    # a noiseless set draws its noise too and scales it by 0, so it leaves its
+    # generator where a noisy set with the same seed does
+    d = build_design(code)
+    c = constellation_for(d)
+    states = []
+    for sigma2 in (0.0, 1.0):
+        rngs = [np.random.default_rng([7, s]) for s in range(3)]
+        simulate_packet_set(scheme, d, c, d.M, 10.0, sigma2, fading, "perslot", 127, rngs)
+        states.append([rng.bit_generator.state for rng in rngs])
+    assert states[0] == states[1]
 
 
 def test_slot_rules():

@@ -78,6 +78,15 @@ def test_validate_rejects_bad_configs():
     for snr_db_list in (("x",), (None,), (True,), (0.0, "3"), (1j,)):
         with pytest.raises(ConfigurationError, match="snr_db_list must be a real number"):
             validate(SimConfig(snr_db_list=snr_db_list))
+    # a scalar, a 0-d array or a string is no SNR list
+    for snr_db_list in (10.0, np.float64(10.0), np.array(10.0), "10", None):
+        with pytest.raises(ConfigurationError, match="snr_db_list must be a sequence"):
+            validate(SimConfig(snr_db_list=snr_db_list))
+    # a list or an array comes back as a tuple of its values, so the config is hashable
+    for snr_db_list in ([0.0, 10.0], np.array([0.0, 10.0])):
+        cfg = validate(SimConfig(snr_db_list=snr_db_list))
+        assert type(cfg.snr_db_list) is tuple and cfg.snr_db_list == (0.0, 10.0)
+        hash(cfg)
     # single-point SNR list is allowed, and so are 2**32 packets, numpy integers
     # and bools, which validate hands back as Python ones
     validate(SimConfig(snr_db_list=(10.0,)))
@@ -242,6 +251,12 @@ def test_numpy_scalar_fields_give_the_same_records_and_bytes(tmp_path):
     for i, recs in enumerate(records):
         emit_csv(recs, tmp_path / f"{i}.csv")
     assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+def test_snr_array_gives_the_same_records_as_the_tuple():
+    base = dict(scheme="dstc", code="c34", packets=3, packet_bits=50)
+    assert (run_sweep(SimConfig(snr_db_list=np.array([0.0, 8.0]), **base))
+            == run_sweep(SimConfig(snr_db_list=(0.0, 8.0), **base)))
 
 
 # slots_total of two 5000-bit packet sets at N = M: alamouti and c44 frame a
