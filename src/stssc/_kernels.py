@@ -70,12 +70,12 @@ def _search(u, gram, xc, sqrt_rho):
     per slot.  The linear term's BLAS rows are (K B, 2N), slot-major.
     """
     N, B = u.shape[1:]
-    metrics = _real_inner(np.moveaxis(u, 1, 2), xc)                 # (K, B, C) linear term
+    metrics = _real_inner(u.swapaxes(1, 2), xc)                     # (K, B, C) linear term
     held, outers = _table.get()
     if held is not xc:
         outers = candidate_outers(xc)
     gram = gram.reshape(gram.shape[:-3] + (N * N, B))
-    quad = _real_inner(np.moveaxis(gram, -1, -2), outers)           # (B, C) or (K, B, C)
+    quad = _real_inner(gram.swapaxes(-1, -2), outers)               # (B, C) or (K, B, C)
     metrics *= -4.0 * sqrt_rho
     quad *= 2.0 * (sqrt_rho * sqrt_rho)
     metrics += quad

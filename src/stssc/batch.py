@@ -119,7 +119,7 @@ def set_bit_errors(constellation: Constellation, decided, sent, packet_bits: int
     n_syms = ceil(packet_bits / bps)
     diff = decided[:, :n_syms] ^ sent[:, :n_syms]
     diff[:, -1] &= -1 << (n_syms * bps - packet_bits)
-    return sum(np.count_nonzero(diff & (1 << b), axis=1) for b in range(bps))
+    return np.bitwise_count(diff).sum(axis=1, dtype=np.intp)
 
 
 def relay_encode(design: OrthogonalDesign, q) -> np.ndarray:
@@ -145,13 +145,12 @@ def relay_statistics(design: OrthogonalDesign, q, w, hRD, g):
     rounding for rounding.  A conjugated symbol's statistic hRD (...)* is
     the conjugate of conj(hRD) (...), so one product serves every symbol.
     """
-    M, K, B = q.shape
+    B = q.shape[-1]
     conj = design.conjugated[:, :, None]
     gq = g[:, None] * q
     np.negative(gq.imag, out=gq.imag, where=conj)                            # g q'
-    rows = (np.arange(M)[:, None] * design.T + design.slot).ravel()
     picked = hRD[:, None] * gq
-    picked += design.sign[:, :, None] * np.take(w.reshape(-1, B), rows, axis=0).reshape(M, K, B)
+    picked += design.sign[:, :, None] * np.take(w.reshape(-1, B), design.slot_rows(), axis=0)
     stat = hRD.conj()[:, None] * picked
     np.negative(stat.imag, out=stat.imag, where=conj)
     return stat
@@ -170,15 +169,16 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     q = sqrt(rho) * _kernels.sum_products(hSR[:, :, None], X[:, None]) + n       # (M, K, B)
     stat = relay_statistics(design, q, w, hRD, g)
     hRS = hSR.transpose(1, 0, 2)                                                 # (M, N, B)
-    coef = g[:, None] * hRS.conj()
+    hRS_conj = hRS.conj()
+    coef = g[:, None] * hRS_conj
     u = _kernels.sum_products(stat[:, :, None], coef[:, None])                   # (K, N, B)
     a = hRS * (g**2 * np.abs(hRD) ** 2)[:, None]
-    gram = _kernels.sum_products(a[:, :, None], hRS.conj()[:, None])             # (N, N, B)
+    gram = _kernels.sum_products(a[:, :, None], hRS_conj[:, None])               # (N, N, B)
     return _kernels.joint_argmin(u, gram, candidates_scaled, sqrt(rho))
 
 
 def source_bits(rngs, N: int, L: int) -> np.ndarray:
-    """(len(rngs), N, L) int64 source bits, set i's drawn from rngs[i] alone.
+    """(len(rngs), N, L) uint8 source bits, set i's drawn from rngs[i] alone.
 
     The bits equal rngs[i].integers(0, 2, size=(N, L)) from a fresh
     generator, and the generator's later draws are the same too.  numpy's
@@ -189,16 +189,13 @@ def source_bits(rngs, N: int, L: int) -> np.ndarray:
     integers would leave it buffered in the bit generator for its next
     32-bit draw, so a generator reused for another call would continue
     differently from one that drew with integers.  The harness never reuses
-    one.  The bits are shifted out of every set's words at once.
+    one.  Bits 31 and 63 of a little-endian word are the top bits of its
+    bytes 3 and 7, so every set's bits are shifted out of those bytes at once.
     """
     n = N * L
     words = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
-    bits = np.empty((len(rngs), n), dtype=np.int64)
-    out = bits.view(np.uint64)
-    np.right_shift(words, 31, out=out[:, 0::2])
-    np.right_shift(words[:, :n // 2], 63, out=out[:, 1::2])
-    out[:, 0::2] &= 1
-    return bits.reshape(len(rngs), N, L)
+    bits = words.astype("<u8", copy=False).view(np.uint8)[:, 3::4] >> 7
+    return bits[:, :n].reshape(len(rngs), N, L)
 
 
 def draw_variates(rules, fading: str, n_blocks: int, rngs) -> list:
@@ -297,8 +294,9 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         return nearest_index(constellation, y / (sqrt(rho) * kappa * hSD0))
 
     def formed(variates, blocks, b):
-        """A tile's b blocks of one draw's variates, each as (*shape, b)."""
-        return [np.moveaxis(v[:, blocks].reshape((b,) + v.shape[2:]), 0, -1) for v in variates]
+        """A tile's b blocks of one draw's variates, each as a (*shape, b) view."""
+        return [v[:, blocks].reshape((b,) + v.shape[2:]).transpose(*range(1, v.ndim - 1), 0)
+                for v in variates]
 
     errors = np.empty(len(rngs), dtype=np.intp)
     tile = tile_blocks(scheme, design, constellation, N)

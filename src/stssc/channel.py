@@ -48,18 +48,18 @@ def _gain_methods(model: str) -> tuple:
 def _gains(model: str, variates) -> np.ndarray:
     """Fading gains from the variates of _gain_methods(model), in its order, C-contiguous.
 
-    A unit-mag gain e^{j 2 pi u} is written as cos and sin into the parts of
-    one complex array: the values of np.exp(2j * np.pi * u), bit for bit,
-    without its complex temporaries.  The variates may be strided views.
+    A unit-mag gain e^{j 2 pi u} is np.exp of one complex array holding
+    +0 + j 2 pi u, taken in place: the argument np.exp(2j * np.pi * u) forms,
+    so its values bit for bit, without its complex temporaries.  The complex
+    exp takes each cosine and sine in one call, which costs less than np.cos
+    and np.sin apart.  The variates may be strided views.
     """
     if model == "rayleigh":
         re, im = variates
         return np.divide(re + 1j * im, np.sqrt(2.0), order="C")
-    theta = 2 * np.pi * variates[0]
-    h = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=h.real)
-    np.sin(theta, out=h.imag)
-    return h
+    h = np.zeros(variates[0].shape, dtype=complex)
+    np.multiply(2 * np.pi, variates[0], out=h.imag)
+    return np.exp(h, out=h)
 
 
 def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:

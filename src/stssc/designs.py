@@ -59,7 +59,7 @@ class OrthogonalDesign:
     B[t] disperses its conjugate.  d[t] = trace(A_t^H A_t + B_t^H B_t).
     slot, sign and conjugated are (M, K) tables: relay r sends symbol t in
     slot[r, t] as sign[r, t] * x[t], conjugated where conjugated[r, t].
-    column_weights() is computed once, when the design is built.
+    column_weights() and slot_rows() are computed once, when the design is built.
     Instances are immutable and safe to share across workers.
     """
 
@@ -77,13 +77,19 @@ class OrthogonalDesign:
 
     def __post_init__(self):
         weights = (np.sum(np.abs(self.A) ** 2, axis=1) + np.sum(np.abs(self.B) ** 2, axis=1)).real
+        rows = np.arange(self.M)[:, None] * self.T + self.slot
         object.__setattr__(self, "_column_weights", weights)
-        for table in (self.A, self.B, self.d, self.slot, self.sign, self.conjugated, weights):
+        object.__setattr__(self, "_slot_rows", rows)
+        for table in (self.A, self.B, self.d, self.slot, self.sign, self.conjugated, weights, rows):
             table.setflags(write=False)
 
     def column_weights(self) -> np.ndarray:
         """Per-(symbol, relay) dispersion energy ||a_{t,r}||^2 + ||b_{t,r}||^2, shape (K, M)."""
         return self._column_weights
+
+    def slot_rows(self) -> np.ndarray:
+        """(M, K) rows r T + slot[r, t]: relay r's slot of symbol t in relay-major (M T, ...) data."""
+        return self._slot_rows
 
 
 def _build(name: str, rows, real_only: bool) -> OrthogonalDesign:

@@ -251,9 +251,9 @@ def _simulate_sets(cfg: SimConfig, snr_db: float, point_index: int,
     they share its fixed per-call costs; only their indices are ever held as
     an array.  Each set keeps its own PCG64 generator, seeded as
     default_rng(SeedSequence([seed, point_index, set])) would be, so how the
-    sets are split between calls does not change the totals.  Serial runs and
-    pool workers both come through here, so every process that simulates
-    first takes the heap policy of _raise_malloc_thresholds.
+    sets are split between calls does not change the totals.  The calling
+    process and the pool workers all come through here, so every process that
+    simulates first takes the heap policy of _raise_malloc_thresholds.
     """
     _raise_malloc_thresholds()
     design = build_design(cfg.code)
@@ -333,32 +333,40 @@ def _sigint_held():
 def _run_points(cfg: SimConfig, points) -> list[SimRecord]:
     """Simulate each (point_index, snr_db) of a validated config, in order.
 
-    With workers > 1 one pool serves every point: each point is cut into
-    min(workers, packets) ranges of sets, all of them are queued up front, and
-    each point's totals are folded in point order.  Totals are integer sums of
-    per-set results seeded by (seed, point, set), so records do not depend
-    on the worker count.
+    Each point is cut into min(workers, packets) ranges of sets.  The calling
+    process simulates the first range of every point itself; with more than
+    one range, one pool of workers - 1 processes serves the others, all of
+    them queued up front, and the caller takes point by point its own range
+    and then that point's futures.  Totals are integer sums of per-set
+    results seeded by (seed, point, set), so records do not depend on the
+    worker count.
     """
-    if cfg.workers <= 1:
-        totals = [_simulate_sets(cfg, snr_db, i, range(cfg.packets)) for i, snr_db in points]
+    n = min(cfg.workers, cfg.packets)
+    own, *queued = [range(cfg.packets * k // n, cfg.packets * (k + 1) // n) for k in range(n)]
+    if not queued:
+        totals = [_simulate_sets(cfg, snr_db, i, own) for i, snr_db in points]
     else:
-        n = min(cfg.workers, cfg.packets)
-        chunks = [range(cfg.packets * k // n, cfg.packets * (k + 1) // n) for k in range(n)]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=len(queued)) as pool:
             try:
                 with _sigint_held():
-                    futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in chunks]
+                    futures = [[pool.submit(_simulate_sets, cfg, snr_db, i, c) for c in queued]
                                for i, snr_db in points]
-                totals = [tuple(map(sum, zip(*(f.result() for f in fs)))) for fs in futures]
+                totals = [tuple(map(sum, zip(_simulate_sets(cfg, snr_db, i, own),
+                                             *(f.result() for f in fs))))
+                          for (i, snr_db), fs in zip(points, futures)]
             except BaseException:
                 # a failed or interrupted sweep must not wait for the rest of the queue
                 pool.shutdown(cancel_futures=True)
                 raise
-    return [_record(cfg, snr_db, i, t) for (i, snr_db), t in zip(points, totals)]
+    digest = config_hash(cfg)
+    return [_record(cfg, snr_db, i, t, digest) for (i, snr_db), t in zip(points, totals)]
 
 
-def _record(cfg: SimConfig, snr_db: float, point_index: int, errors) -> SimRecord:
-    """A point's record from its (bit_errors, packet_errors); every set costs equal slots."""
+def _record(cfg: SimConfig, snr_db: float, point_index: int, errors, digest: str) -> SimRecord:
+    """A point's record from its (bit_errors, packet_errors) and the config's config_hash digest.
+
+    Every set costs equal slots.
+    """
     bit_errors, packet_errors = errors
     d = build_design(cfg.code)
     per_block = cfg.phases_override or SLOT_RULES[cfg.scheme](cfg.sources, d.M, d.K, d.T)
@@ -377,7 +385,7 @@ def _record(cfg: SimConfig, snr_db: float, point_index: int, errors) -> SimRecor
         packet_errors=packet_errors,
         slots_total=slots_total,
         seed=_point_seed(cfg, point_index),
-        config_hash=config_hash(cfg),
+        config_hash=digest,
     )
 
 

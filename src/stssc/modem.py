@@ -43,8 +43,13 @@ def modulate(c: Constellation, bits) -> np.ndarray:
 
 
 def point_index(c: Constellation, bits) -> np.ndarray:
-    """Point index of each symbol's bits, most significant first; the inverse of label_bits."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Point index of each symbol's bits, most significant first; the inverse of label_bits.
+
+    uint8 bits give uint8 indices, any other bits int64 ones.
+    """
+    bits = np.asarray(bits)
+    if bits.dtype != np.uint8:
+        bits = bits.astype(np.int64, copy=False)
     if bits.size % c.bits_per_symbol:
         raise UsageError(
             f"bit count {bits.size} not divisible by {c.bits_per_symbol}; pad during framing"
@@ -170,7 +175,7 @@ def _pad_bits(bits: np.ndarray, bits_per_symbol: int) -> np.ndarray:
     rem = bits.shape[-1] % bits_per_symbol
     if rem == 0:
         return np.asarray(bits)
-    pad = np.zeros(bits.shape[:-1] + (bits_per_symbol - rem,), dtype=np.int64)
+    pad = np.zeros(bits.shape[:-1] + (bits_per_symbol - rem,), dtype=bits.dtype)
     return np.concatenate([bits, pad], axis=-1)
 
 

@@ -261,7 +261,7 @@ def test_source_bits_equal_integers_from_fresh_generators(N, L):
     ref = [np.random.default_rng(seed) for seed in seeds]
     bits = batch.source_bits(ours, N, L)
     expected = np.stack([rng.integers(0, 2, size=(N, L)) for rng in ref])
-    assert bits.dtype == expected.dtype and bits.shape == expected.shape
+    assert bits.dtype == np.uint8 and bits.shape == expected.shape
     np.testing.assert_array_equal(bits, expected)
     for a, b in zip(ours, ref):
         np.testing.assert_array_equal(a.standard_normal(5), b.standard_normal(5))

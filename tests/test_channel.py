@@ -14,7 +14,7 @@ def test_unit_mag_gains_have_unit_magnitude():
 
 
 def test_unit_mag_gains_equal_complex_exponential_bit_for_bit():
-    # cos and sin written into one complex array give np.exp(2j pi u) exactly,
+    # np.exp of +0 + j 2 pi u formed in place gives np.exp(2j pi u) exactly,
     # signed zeros included, on fixed draws and on the quarter turns
     u = np.concatenate([np.random.default_rng(5).random(100_000), [0.0, 0.25, 0.5, 0.75]])
     got = _gains("unit-mag", [u]).view(np.float64)

@@ -225,8 +225,8 @@ def _still_running(workers):
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_sigint_stops_sweep_and_its_workers(tmp_path):
-    # a real SIGINT, sent to the CLI process only, while its pool works through
-    # 10 001 points of two one-set tasks each
+    # a real SIGINT, sent to the CLI process only, while it and its pool's two
+    # workers work through 10 001 points of three one-set chunks each
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     # stderr goes to a file: a pipe would stay open as long as an orphaned worker runs
@@ -234,8 +234,8 @@ def test_sigint_stops_sweep_and_its_workers(tmp_path):
     # the child takes SIGINT's default disposition even where pytest runs with it
     # ignored, which a child would inherit and which would let the sweep run on
     proc = subprocess.Popen(
-        [sys.executable, "-m", "stssc.cli", "run", "--snr", "0:0.01:100", "--packets", "2",
-         "--workers", "2", "-o", str(tmp_path / "out.csv")],
+        [sys.executable, "-m", "stssc.cli", "run", "--snr", "0:0.01:100", "--packets", "3",
+         "--workers", "3", "-o", str(tmp_path / "out.csv")],
         cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=err,
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )

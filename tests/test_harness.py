@@ -382,7 +382,24 @@ def test_pool_workers_apply_the_heap_policy(monkeypatch, tmp_path):
                         snr_db_list=(0.0, 4.0), workers=2))
     pids = log.read_text().split()
     assert len(pids) == 4                   # once per chunk: 2 points x 2 chunks
-    assert str(os.getpid()) not in pids
+    # the caller simulates each point's first chunk, the pool's one worker the second
+    caller = str(os.getpid())
+    assert pids.count(caller) == 2
+    workers = [pid for pid in pids if pid != caller]
+    assert len(workers) == 2 and len(set(workers)) == 1
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_a_single_chunk_starts_no_pool(monkeypatch, workers):
+    # one packet set per point is one chunk, which the caller simulates itself
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run of one chunk per point started a pool")
+
+    cfg = SimConfig(scheme="stssc", code="alamouti", seed=2, packets=1, packet_bits=60,
+                    snr_db_list=(0.0, 10.0))
+    serial = run_sweep(cfg)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    assert run_sweep(replace(cfg, workers=workers)) == serial
 
 
 def test_malloc_initializer_is_quiet_without_glibc(monkeypatch):
@@ -401,12 +418,16 @@ def test_malloc_initializer_is_quiet_without_glibc(monkeypatch):
 def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, capsys, error):
     real = harness.simulate_packet_set
     sets = multiprocessing.Value("i", 0)        # shared with the forked workers
+    caller = os.getpid()
+    caller_rhos = []                            # appended to in the calling process only
 
     def failing(scheme, design, constellation, N, rho, sigma2, fading, kappa_mode,
                 packet_bits, rngs):
         with sets.get_lock():
             sets.value += len(rngs)
-        if rho == 1.0:                          # the 0 dB point
+        if os.getpid() == caller:
+            caller_rhos.append(rho)
+        elif rho == 1.0:                        # the 0 dB point, in a worker
             raise error("injected worker failure")
         time.sleep(0.05)
         return real(scheme, design, constellation, N, rho, sigma2, fading, kappa_mode,
@@ -419,6 +440,8 @@ def test_worker_failure_cancels_queue_and_writes_nothing(monkeypatch, tmp_path, 
     with pytest.raises(error, match="injected worker failure"):
         run_sweep(cfg)
     assert multiprocessing.active_children() == []
+    # the caller simulated its own chunk of the failing point and went no further
+    assert caller_rhos == [1.0]
     # the queued points behind the failure were cancelled, not run
     assert sets.value < cfg.packets * len(snrs) // 2
 
