@@ -108,6 +108,7 @@ def afost_argmin(y, F, xc):
     with u = F^H y, Gram = F^T F* and sqrt_rho = 1, summed over the relays
     along the blocks.
     """
-    u = sum_products(F.conj()[:, None], y[:, :, None])              # (K, N, B)
-    gram = sum_products(F[:, :, None], F.conj()[:, None])           # (N, N, B)
+    F_conj = F.conj()
+    u = sum_products(F_conj[:, None], y[:, :, None])                # (K, N, B)
+    gram = sum_products(F[:, :, None], F_conj[:, None])             # (N, N, B)
     return _search(u, gram, xc, 1.0)

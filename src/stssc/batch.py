@@ -7,7 +7,9 @@ variates from its own generator, in tiles of as many blocks as fit TILE_BYTES
 of working set (tile_blocks; whole sets, or a block range of a longer set).
 A tile's sets draw just before it is formed and are counted once it decides,
 so the bits, draws, symbols, gains, noise and decisions exist for one tile
-(or longer set) only, and a call's memory does not grow with its sets.
+(or longer set) only, and a call's memory does not grow with its sets.  A
+set draws in two Generator calls (draw_sets): raw words for its bits and
+unit-mag gains, standard normals for its Rayleigh gains and its noise.
 Every tile is formed with its blocks on the last axis, and every scheme
 computes along them, through the candidate search.  stssc and afost share
 the relay gain rule (schemes.af_gains) and the candidate search
@@ -31,6 +33,8 @@ accounting.  Decisions stay point indices to the end: stssc and afost take
 source 0's digit of the candidate index, dstc and direct decide with
 nearest_index, and the bits that differ are those of the decided and sent
 indices' XOR (their Gray labels), so no decided point is formed or demapped.
+dstc's and direct's chains read source 0's symbols only, so only those are
+mapped and formed for them.
 """
 
 from contextlib import nullcontext
@@ -39,7 +43,7 @@ from math import ceil, prod, sqrt
 import numpy as np
 
 from . import _kernels
-from .channel import _complex_noise, _gain_methods, _gains
+from .channel import _complex_noise, _gains, _unit_mag_variates
 from .decoder import enumerate_candidates, first_source_index
 from .designs import OrthogonalDesign
 # demap_hard and modulate are unused here, since bits come from decision
@@ -65,7 +69,7 @@ SLOT_RULES = {
 SCHEMES = tuple(SLOT_RULES)
 SEARCHES = ("stssc", "afost")       # the schemes that decide by candidate search
 
-# the draws after the bits, per-block shapes in draw order: (gains, noise); see draw_variates
+# the draws after the bits, per-block shapes in draw order: (gains, noise); see draw_sets
 DRAW_RULES = {
     "stssc": lambda N, M, K, T: (((N, M), (M,)), ((M, K), (M, T))),
     "afost": lambda N, M, K, T: (((N, M), (M,)), ((M, K), (M, K))),
@@ -177,49 +181,55 @@ def stssc_decode_batch(X, hSR, hRD, n, w, design, candidates_scaled, rho, sigma2
     return _kernels.joint_argmin(u, gram, candidates_scaled, sqrt(rho))
 
 
-def source_bits(rngs, N: int, L: int) -> np.ndarray:
-    """(len(rngs), N, L) uint8 source bits, set i's drawn from rngs[i] alone.
+def draw_sets(rules, fading: str, N: int, L: int, n_blocks: int, rngs):
+    """Each set's source bits and variates of DRAW_RULES rules over n_blocks blocks, from rngs[i].
 
-    The bits equal rngs[i].integers(0, 2, size=(N, L)) from a fresh
-    generator, and the generator's later draws are the same too.  numpy's
-    integers(0, 2) takes each bit by Lemire's bounded draw from a 32-bit
-    half of a raw 64-bit word, low half first, and keeps the half's top
-    bit; so word w gives bit 31, then bit 63, and ceil(N*L/2) raw words
-    give every bit.  With N*L odd the last word's high half goes unused:
-    integers would leave it buffered in the bit generator for its next
-    32-bit draw, so a generator reused for another call would continue
-    differently from one that drew with integers.  The harness never reuses
-    one.  Bits 31 and 63 of a little-endian word are the top bits of its
-    bytes 3 and 7, so every set's bits are shifted out of those bytes at once.
+    Two Generator calls a set.  bit_generator.random_raw gives ceil(N*L/2) raw
+    64-bit words of source bits, then under unit-mag one word per gain value;
+    standard_normal gives, under rayleigh, every gain's two parts, then every
+    noise's two parts, in rule order.  Returns the (S, N, L) uint8 bits and,
+    per draw in rule order, its variates as (S, n_blocks, *shape) arrays:
+    a unit-mag gain's channel._unit_mag_variates of its words, any other
+    draw's real parts, then its imaginary parts.
+
+    The bits equal rngs[i].integers(0, 2, size=(N, L)) from a fresh generator.
+    numpy's integers(0, 2) takes each bit by Lemire's bounded draw from a
+    32-bit half of a raw 64-bit word, low half first, and keeps the half's top
+    bit; so word w gives bit 31, then bit 63.  Bits 31 and 63 of a
+    little-endian word are the top bits of its bytes 3 and 7, so every set's
+    bits are shifted out of those bytes at once.  Generator.random takes its
+    u from one whole word and standard_normal whole words too, so every
+    variate is the one those draws would give after integers.  With N*L
+    odd the bits' last word's high half goes unused: integers would leave it
+    buffered in the bit generator for its next 32-bit draw, so a generator
+    reused for one would continue differently from one that drew with
+    integers.  The harness never reuses one.  The gain words are copied out
+    and the raw words dropped before the normal fill, so they do not stay
+    alive with the set's variates.
     """
-    n = N * L
-    words = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in rngs])
-    bits = words.astype("<u8", copy=False).view(np.uint8)[:, 3::4] >> 7
-    return bits[:, :n].reshape(len(rngs), N, L)
+    S = len(rngs)
+    unit_mag = fading == "unit-mag"
+    n_words = (N * L + 1) // 2
+    n_gains, n_noise = (n_blocks * sum(map(prod, shapes)) for shapes in rules)
+    n_phases = n_gains if unit_mag else 0
+    words = np.array([rng.bit_generator.random_raw(n_words + n_phases) for rng in rngs])
+    bits = words.astype("<u8", copy=False).view(np.uint8)[:, 3:8 * n_words:4] >> 7
+    phases = _unit_mag_variates(words[:, n_words:])
+    del words
+    normals = np.empty((S, 2 * (n_gains - n_phases + n_noise)))
+    for rng, row in zip(rngs, normals):
+        rng.standard_normal(out=row)
 
-
-def draw_variates(rules, fading: str, n_blocks: int, rngs) -> list:
-    """Each set's variates of DRAW_RULES rules over n_blocks blocks, set i's drawn from rngs[i].
-
-    Two fills, one Generator call each: every gain's channel._gain_methods
-    variates (a model's are all of one method), then every noise's two
-    standard normals, in rule order; one fill of the summed size gives the
-    values of its draws' fills in turn.  Returns, per draw in rule order, its
-    variates as (S, n_blocks, *shape) views into the fills.
-    """
-    normal = np.random.Generator.standard_normal
-    views = []
-    for methods, shapes in zip((_gain_methods(fading), (normal, normal)), rules):
-        raw = np.empty((len(rngs), len(methods) * n_blocks * sum(map(prod, shapes))))
-        for rng, row in zip(rngs, raw):
-            methods[0](rng, out=row)
-        start = 0
+    def cut(fill, start, shapes, parts):
         for shape in shapes:
-            stop = start + len(methods) * n_blocks * prod(shape)
-            draw = raw[:, start:stop].reshape((len(rngs), len(methods), n_blocks) + shape)
-            views.append([draw[:, j] for j in range(len(methods))])
+            stop = start + parts * n_blocks * prod(shape)
+            draw = fill[:, start:stop].reshape((S, parts, n_blocks) + shape)
+            yield [draw[:, j] for j in range(parts)]
             start = stop
-    return views
+
+    gains = cut(phases, 0, rules[0], 1) if unit_mag else cut(normals, 0, rules[0], 2)
+    noise = cut(normals, normals.shape[1] - 2 * n_noise, rules[1], 2)
+    return bits[:, :N * L].reshape(S, N, L), [*gains, *noise]
 
 
 def afost_observations(X, hSR, hRD, n, w, rho: float, sigma2: float):
@@ -239,15 +249,17 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
                         kappa_mode: str, packet_bits: int, rngs) -> np.ndarray:
     """Simulate one packet set per generator in rngs; returns their (S,) destination-0 bit errors.
 
-    Set i draws from rngs[i] alone: its bits (source_bits), then its DRAW_RULES
-    gains' and noise's variates over all its blocks (draw_variates), noise too
-    at sigma2 = 0.  A tile is tile_blocks blocks: as many whole sets as fit (at
-    least one), or that many blocks of a longer set.  A tile's sets draw just
-    before it is formed (a longer set before its first tile), their raw
-    variates go before it (its last tile) decides, and their errors are
-    counted once it has; only the generators and the (S,) errors span the
-    call.  stssc and afost search one candidate table, whose outer products
-    are built once per call (_kernels.candidate_table).  Blocks are
+    Set i draws from rngs[i] alone, in two Generator calls (draw_sets): its
+    bits and its DRAW_RULES gains' and noise's variates over all its blocks,
+    noise too at sigma2 = 0.  Every source's bits are drawn, but dstc and
+    direct decide source 0 from its symbols alone, so only source 0's are
+    mapped and formed there.  A tile is tile_blocks blocks: as many whole
+    sets as fit (at least one), or that many blocks of a longer set.  A
+    tile's sets draw just before it is formed (a longer set before its first
+    tile), their raw variates go before it (its last tile) decides, and their
+    errors are counted once it has; only the generators and the (S,) errors
+    span the call.  stssc and afost search one candidate table, whose outer
+    products are built once per call (_kernels.candidate_table).  Blocks are
     independent, so each set's errors do not depend on which sets share the
     call or on how it is cut into tiles.
     """
@@ -263,12 +275,16 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
     points = kappa * np.append(constellation.points, 0)
     rules = DRAW_RULES[scheme](N, M, K, T)
     n_gains = len(rules[0])
+    n_formed = N if scheme in SEARCHES else 1           # dstc's and direct's chains read X[0]
 
     if scheme in SEARCHES:
         xc = kappa * enumerate_candidates(constellation, N)
 
     def decide(X, *draws):
-        """Source 0's point indices (K, b) for a tile of b blocks: X (N, K, b) and its draws."""
+        """Source 0's point indices (K, b) for a tile of b blocks: X (n_formed, K, b) and its draws.
+
+        X holds every source's row for stssc and afost, source 0's alone for dstc and direct.
+        """
         if scheme in SEARCHES:
             idx = (stssc_decode_batch(X, *draws, design, xc, rho, sigma2) if scheme == "stssc"
                    else _kernels.afost_argmin(*afost_observations(X, *draws, rho, sigma2), xc))
@@ -305,18 +321,19 @@ def simulate_packet_set(scheme: str, design: OrthogonalDesign, constellation: Co
         for s0 in range(0, len(rngs), per_tile):
             sets = rngs[s0:s0 + per_tile]
             k = len(sets)
-            idx = point_index(constellation, _pad_bits(source_bits(sets, N, L), bps))
+            bits, variates = draw_sets(rules, fading, N, L, n_blocks, sets)
+            idx = point_index(constellation, _pad_bits(bits[:, :n_formed], bps))
+            del bits
             # a padding symbol's index is constellation.size, the 0 appended to the points
-            sym = np.full((k, N, n_blocks * K), constellation.size, dtype=np.int8)
-            sym[..., :n_syms] = idx.reshape(k, N, n_syms)
+            sym = np.full((k, n_formed, n_blocks * K), constellation.size, dtype=np.int8)
+            sym[..., :n_syms] = idx.reshape(k, n_formed, n_syms)
             del idx
             sent0 = sym[:, 0]
-            sym = sym.reshape(k, N, n_blocks, K)
-            variates = draw_variates(rules, fading, n_blocks, sets)
+            sym = sym.reshape(k, n_formed, n_blocks, K)
             decided0 = np.empty((k, n_blocks, K), dtype=np.int8)
             for b0 in range(0, n_blocks, tile):
                 blocks = slice(b0, b0 + tile)
-                X = points.take(sym[:, :, blocks].transpose(1, 3, 0, 2)).reshape(N, K, -1)
+                X = points.take(sym[:, :, blocks].transpose(1, 3, 0, 2)).reshape(n_formed, K, -1)
                 b = X.shape[-1]
                 draws = [_gains(fading, formed(v, blocks, b)) for v in variates[:n_gains]]
                 draws += [_complex_noise(sigma2, *formed(v, blocks, b)) for v in variates[n_gains:]]

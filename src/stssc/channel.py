@@ -36,29 +36,36 @@ class ChannelRealization:
         return self.hSR.shape[1]
 
 
-def _gain_methods(model: str) -> tuple:
-    """The Generator methods whose variates _gains forms a model's gains from, in draw order."""
-    if model == "rayleigh":
-        return (np.random.Generator.standard_normal,) * 2
-    if model == "unit-mag":
-        return (np.random.Generator.random,)
-    raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
+def _unit_mag_variates(words) -> np.ndarray:
+    """The variates _gains forms unit-mag gains from, one per raw 64-bit word w: k = w >> 11.
+
+    k is the top 53 bits of w, and Generator.random draws u = k 2^-53 from w.
+    """
+    return words >> 11
 
 
 def _gains(model: str, variates) -> np.ndarray:
-    """Fading gains from the variates of _gain_methods(model), in its order, C-contiguous.
+    """Fading gains from a model's variates, C-contiguous.
 
-    A unit-mag gain e^{j 2 pi u} is np.exp of one complex array holding
-    +0 + j 2 pi u, taken in place: the argument np.exp(2j * np.pi * u) forms,
-    so its values bit for bit, without its complex temporaries.  The complex
-    exp takes each cosine and sine in one call, which costs less than np.cos
-    and np.sin apart.  The variates may be strided views.
+    rayleigh takes two standard normal variates (re, im), unit-mag one
+    integer k < 2^53 (_unit_mag_variates), as a uint64 or any array holding
+    it exactly, for the u = k 2^-53 Generator.random would draw.  A unit-mag
+    gain e^{j 2 pi u} is np.exp of one complex array holding
+    +0 + j (2 pi 2^-53) k, taken in place.  2^-53 is a power of two and
+    2 pi k 2^-53 stays a normal float, so scaling by it commutes with the
+    rounding: (2 pi 2^-53) k is 2 pi u bit for bit, the argument
+    np.exp(2j * np.pi * u) forms, and the gains are its values without its
+    complex temporaries.  The complex exp takes each cosine and sine in one
+    call, which costs less than np.cos and np.sin apart.  The variates may
+    be strided views.
     """
     if model == "rayleigh":
         re, im = variates
         return np.divide(re + 1j * im, np.sqrt(2.0), order="C")
+    if model != "unit-mag":
+        raise ConfigurationError(f"unknown fading model {model!r}; valid: {', '.join(FADING_MODELS)}")
     h = np.zeros(variates[0].shape, dtype=complex)
-    np.multiply(2 * np.pi, variates[0], out=h.imag)
+    np.multiply(2 * np.pi * 2.0**-53, variates[0], out=h.imag)
     return np.exp(h, out=h)
 
 
@@ -77,8 +84,15 @@ def _complex_noise(sigma2: float, re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _draw_gains(model: str, rng: np.random.Generator, shape) -> np.ndarray:
-    """Fading gains of the given shape, drawn from rng."""
-    return _gains(model, [method(rng, size=shape) for method in _gain_methods(model)])
+    """Fading gains of the given shape, drawn from rng as Generator.random or standard_normal would.
+
+    A unit-mag gain takes the raw word rng.random would turn into u
+    (_unit_mag_variates); a rayleigh gain takes every real part, then every
+    imaginary part.
+    """
+    if model == "unit-mag":
+        return _gains(model, [_unit_mag_variates(rng.bit_generator.random_raw(shape))])
+    return _gains(model, [rng.standard_normal(shape), rng.standard_normal(shape)])
 
 
 def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generator,
@@ -99,10 +113,9 @@ def draw_channel(model: str, N: int, M: int, rho: float, rng: np.random.Generato
 def awgn(length, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, sigma2) samples, variance sigma2/2 per real dimension.
 
-    `length` may be an int or a shape tuple.
+    `length` may be an int or a shape tuple.  At sigma2 = 0 the samples are
+    drawn and scaled to signed zeros, so the generator moves as at any sigma2.
     """
     if sigma2 < 0:
         raise UsageError("sigma2 must be nonnegative")
-    if sigma2 == 0:
-        return np.zeros(length, dtype=complex)
     return _complex_noise(sigma2, rng.standard_normal(length), rng.standard_normal(length))

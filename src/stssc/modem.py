@@ -83,9 +83,44 @@ def label_bits(c: Constellation, idx) -> np.ndarray:
 def nearest_index(c: Constellation, est) -> np.ndarray:
     """Index of the constellation point nearest each estimate; a tie goes to the first such point.
 
-    Only a strictly smaller |est - p_j| moves the index, as argmin's first minimum; an
-    estimate's distances are all NaN or all inf together, and it keeps index 0 as there.
+    The index is argmin's first minimum over the distances |est - p_j| numpy
+    computes: only a strictly smaller one moves it, and an estimate whose
+    distances are all NaN or all inf keeps index 0.  c must hold
+    get_constellation's BPSK or QPSK points (another layout would be decided
+    wrongly): they are the signs of their parts, so an estimate is decided
+    from the signs of its real part (bit 1 of a QPSK index) and imaginary part
+    (bit 0), unless a part the constellation decides on has
+    |part| <= tau (1 + |est|^2), tau = 1e-12, or est is not finite; those go
+    through the distances.
+
+    The margin: |est - p| is a libm hypot (within 1 ulp) of two rounded
+    differences, so within 3 eps (eps = 2^-53) of the true distance d.  Points
+    that differ in a part differ in it by 2a (a = 1, or fl(1/sqrt 2) ~ 0.707),
+    so the nearer one's squared distance is smaller by at least 4 a |part|,
+    its distance by 4 a |part| / (d_j + d_k), with (d_j + d_k)^2
+    <= 2 (d_j^2 + d_k^2) <= 8 (1 + eps) (1 + |est|^2).  The rounded distances
+    keep that order while 4 a |part| > 3 eps (d_j + d_k)^2, which holds once
+    |part| > 9 eps (1 + |est|^2) = 1e-15 (1 + |est|^2); tau is a thousand
+    times that, so the rounding of the margin itself does not matter.  Once
+    |est|^2 overflows, the margin is inf and the distances decide.
     """
+    est = np.asarray(est)
+    re, im = est.real, est.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = 1e-12 * (1.0 + (re * re + im * im))
+        unsure = ~(np.abs(re) > margin)                 # NaN and inf parts too
+        idx = np.less(re, 0).astype(np.intp)
+        if not c.real_only:
+            unsure |= ~(np.abs(im) > margin)
+            idx <<= 1
+            idx += im < 0
+    if unsure.any():
+        idx[unsure] = _nearest_by_distance(c, est[unsure])
+    return idx
+
+
+def _nearest_by_distance(c: Constellation, est) -> np.ndarray:
+    """nearest_index, point by point: argmin's first minimum of the distances |est - p_j|."""
     best = np.abs(est - c.points[0])
     idx = np.zeros(best.shape, dtype=np.intp)
     for j in range(1, c.size):

@@ -252,49 +252,45 @@ def test_bit_errors_from_indices_match_demapped_points(mod, N, L):
     assert got.min() > 0
 
 
-@pytest.mark.parametrize("N, L", [(1, 1), (3, 7), (2, 128), (3, 101), (4, 1000)])
-def test_source_bits_equal_integers_from_fresh_generators(N, L):
-    # numpy promises to keep SeedSequence's output stable, not Generator.integers'
-    # draws, so this pins source_bits' reading of integers(0, 2) on this numpy
-    seeds = [np.random.SeedSequence([5, N, L, s]) for s in range(3)]
-    ours = [np.random.default_rng(seed) for seed in seeds]
-    ref = [np.random.default_rng(seed) for seed in seeds]
-    bits = batch.source_bits(ours, N, L)
-    expected = np.stack([rng.integers(0, 2, size=(N, L)) for rng in ref])
-    assert bits.dtype == np.uint8 and bits.shape == expected.shape
-    np.testing.assert_array_equal(bits, expected)
-    for a, b in zip(ours, ref):
-        np.testing.assert_array_equal(a.standard_normal(5), b.standard_normal(5))
-        # integers keeps an odd count's spare 32-bit half for its next 32-bit draw;
-        # source_bits leaves none, so a reused generator would go on differently
-        assert b.bit_generator.state["has_uint32"] == (N * L) % 2
-        assert a.bit_generator.state["has_uint32"] == 0
+class CountingGenerator:
+    """A Generator that records which of its attributes a draw looks up."""
+
+    def __init__(self, rng):
+        self.rng, self.looked_up = rng, []
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        return getattr(self.rng, name)
 
 
 @pytest.mark.parametrize("scheme", batch.SCHEMES)
 @pytest.mark.parametrize("fading", FADING_MODELS)
-@pytest.mark.parametrize("L", [127, 128])
-def test_merged_draws_equal_draws_in_rule_order(scheme, fading, L):
-    # each set draws its bits (N*L = 381 odd, 384 even), then every DRAW_RULES
-    # array over all its 32 blocks, gains before noise: a gain as one uniform
-    # (unit-mag) or two normals (rayleigh), noise as two normals, each a
-    # Generator call of its own; draw_variates makes one call of the gains' and
-    # one of the noise's
+@pytest.mark.parametrize("N, L", [(1, 1), (3, 127), (3, 128), (4, 1001)])
+def test_two_fill_draw_equals_draws_in_rule_order(scheme, fading, N, L):
+    # numpy promises to keep SeedSequence's output stable, not Generator's
+    # draws, so this pins draw_sets' reading of them on this numpy: each set
+    # draws its N*L bits (odd or even) as integers(0, 2), then every DRAW_RULES
+    # array over all its blocks, gains before noise, a gain as one uniform
+    # (unit-mag) or two normals (rayleigh) and noise as two normals, each a
+    # Generator call of its own; draw_sets makes one raw-word call and one
+    # normal call, and a unit-mag gain's k is its uniform times 2^53
     d = build_design("c34")
     c = get_constellation("qpsk")
-    N, n_blocks = 3, blocks_per_set(d, c, L)
+    n_blocks = blocks_per_set(d, c, L)
     rules = batch.DRAW_RULES[scheme](N, d.M, d.K, d.T)
-    seeds = [np.random.SeedSequence([L, s]) for s in range(3)]
-    ours = [np.random.default_rng(seed) for seed in seeds]
+    seeds = [np.random.SeedSequence([5, N, L, s]) for s in range(3)]
+    ours = [CountingGenerator(np.random.default_rng(seed)) for seed in seeds]
     ref = [np.random.default_rng(seed) for seed in seeds]
-    batch.source_bits(ours, N, L)
-    variates = batch.draw_variates(rules, fading, n_blocks, ours)
-    normal, uniform = np.random.Generator.standard_normal, np.random.Generator.random
-    gain, noise = ([normal, normal] if fading == "rayleigh" else [uniform]), [normal, normal]
-    draws = [(shape, gain) for shape in rules[0]] + [(shape, noise) for shape in rules[1]]
+    bits, variates = batch.draw_sets(rules, fading, N, L, n_blocks, ours)
+    assert [rng.looked_up for rng in ours] == [["bit_generator", "standard_normal"]] * 3
+    expected_bits = np.stack([rng.integers(0, 2, size=(N, L)) for rng in ref])
+    assert bits.dtype == np.uint8 and bits.shape == expected_bits.shape
+    np.testing.assert_array_equal(bits, expected_bits)
+    normal = np.random.Generator.standard_normal
+    gain = [normal, normal] if fading == "rayleigh" else [lambda rng, size: rng.random(size) * 2**53]
+    draws = [(shape, gain) for shape in rules[0]] + [(shape, [normal, normal]) for shape in rules[1]]
     assert len(variates) == len(draws)
     for i, rng in enumerate(ref):
-        rng.integers(0, 2, size=(N, L))
         for (shape, methods), views in zip(draws, variates):
             expected = [method(rng, size=(n_blocks,) + shape) for method in methods]
             assert len(views) == len(expected), shape
@@ -304,6 +300,20 @@ def test_merged_draws_equal_draws_in_rule_order(scheme, fading, L):
     for a, b in zip(ours, ref):
         np.testing.assert_array_equal(a.standard_normal(4), b.standard_normal(4))
         np.testing.assert_array_equal(a.random(4), b.random(4))
+        # integers keeps an odd count's spare 32-bit half for its next 32-bit draw;
+        # draw_sets leaves none, so a reused generator would go on differently there
+        assert b.bit_generator.state["has_uint32"] == (N * L) % 2
+        assert a.bit_generator.state["has_uint32"] == 0
+
+
+def test_every_set_makes_two_generator_calls():
+    d = build_design("alamouti")
+    c = constellation_for(d)
+    for scheme in batch.SCHEMES:
+        for fading in FADING_MODELS:
+            rngs = [CountingGenerator(np.random.default_rng([3, s])) for s in range(40)]
+            simulate_packet_set(scheme, d, c, d.M, 10.0, 1.0, fading, "perslot", 128, rngs)
+            assert {tuple(rng.looked_up) for rng in rngs} == {("bit_generator", "standard_normal")}
 
 
 @pytest.mark.parametrize("scheme", batch.SCHEMES)

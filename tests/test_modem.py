@@ -92,13 +92,33 @@ def complex_array(re, im):
     return est
 
 
+# part magnitudes from far inside to far outside nearest_index's sign margin
+# tau (1 + |est|^2), tau = 1e-12: paired with one another, a small part puts
+# the estimate next to an axis, and a part past 1e154 overflows |est|^2
+MAGNITUDES = tuple(10.0 ** e for e in (-300, -150, -15, -12, -6, 0, 6, 12, 150, 300))
+
+
+def margin_parts(other):
+    """Parts right at the sign margin of an estimate whose other part is other, and one ulp off."""
+    part = 1e-12 * (1.0 + other * other)
+    part = 1e-12 * (1.0 + (part * part + other * other))            # the margin with part in it
+    return (np.nextafter(part, 0), part, np.nextafter(part, np.inf))
+
+
 @pytest.mark.parametrize("name", ["bpsk", "qpsk"])
 def test_nearest_index_equals_argmin_on_every_pair_of_special_parts(name):
     c = get_constellation(name)
-    re, im = np.meshgrid(SPECIAL_PARTS, SPECIAL_PARTS)
-    est = complex_array(re, im)                                     # (b, K) = (11, 11)
+    parts = SPECIAL_PARTS + MAGNITUDES + tuple(-m for m in MAGNITUDES)
+    re, im = np.meshgrid(parts, parts)
+    est = complex_array(re, im)                                     # (b, K) = (31, 31)
     assert_nearest_index_is_argmin(c, est)
     assert_nearest_index_is_argmin(c, np.stack([est.T, -est.T, est.T.conj()]))  # (M, K, b)
+    others = np.array([0.0, 0.5, 1.0, 3.0, 1e3, 1e5])
+    at_margin = np.array([margin_parts(other) for other in others])     # (6, 3)
+    part = np.concatenate([at_margin, -at_margin])                      # (12, 3)
+    other = np.broadcast_to(np.concatenate([others, others])[:, None], part.shape)
+    est = np.stack([complex_array(part, other), complex_array(other, part)])
+    assert_nearest_index_is_argmin(c, np.stack([est, est.conj()]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
